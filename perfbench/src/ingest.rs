@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use serde::Value;
 use snia_dataset::{cache, render_stamp, Dataset, DatasetConfig};
 
-use crate::stats::{digest_f32, fnv1a, ms, FNV_OFFSET};
+use crate::stats::{digest_f32, fnv1a, median, ms, FNV_OFFSET};
 use crate::{Bench, Outcome, Phase};
 
 #[derive(Debug, Clone, Copy)]
@@ -150,6 +150,7 @@ impl Bench for IngestBench {
         let cold_budget = Duration::from_secs_f64(seconds * self.cfg.cold_share);
         let mut busy = Duration::ZERO;
         let mut pass_dir = None;
+        let mut pass_rates = Vec::new();
         while busy < cold_budget || cold.sent == 0 {
             let dir = self.dir.join(format!("pass-{}", self.passes));
             self.passes += 1;
@@ -159,12 +160,17 @@ impl Bench for IngestBench {
             }
             let pass = self.pass();
             busy += pass.busy();
+            pass_rates.push(n as f64 / pass.busy().as_secs_f64());
             cold.sent += n;
             cold.answered += n;
             uncached_ok &= self.matches_uncached(&pass);
             checksums.push(pass.checksum());
         }
-        out.throughput = cold.answered as f64 / busy.as_secs_f64();
+        out.throughput = median(&pass_rates);
+        out.detail(
+            "cold_overall_per_s",
+            Value::F64(cold.answered as f64 / busy.as_secs_f64()),
+        );
         let filled = cache::stats();
 
         let mut warm = Phase::new("warm_disk");

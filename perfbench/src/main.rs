@@ -38,8 +38,12 @@ pub const WORKLOADS: [&str; 4] = [
     "ingest-render",
 ];
 
-/// Setups per run; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+/// Set-ups per run: at least `SETUP_MIN_REPS`, more while their total
+/// stays under `SETUP_BUDGET_S`, at most `SETUP_MAX_REPS`; `setup_s` is
+/// their median, so a cheap set-up is repeated more often.
+const SETUP_MIN_REPS: usize = 5;
+const SETUP_MAX_REPS: usize = 25;
+const SETUP_BUDGET_S: f64 = 1.5;
 
 #[derive(Debug, Clone)]
 pub struct Metric {
@@ -84,7 +88,8 @@ impl Phase {
 /// What one measurement of a workload produced.
 #[derive(Debug, Default)]
 pub struct Outcome {
-    /// Operations per second of the workload's throughput phase.
+    /// Operations per second of the workload's throughput phase: the
+    /// median over its pieces (chunks, calls or passes).
     pub throughput: f64,
     /// Per-operation latencies of the workload's latency phase.
     pub latencies_ms: Vec<f64>,
@@ -335,10 +340,17 @@ pub fn run(args: &Args) -> RunResult {
     let work = WorkDir::create();
 
     // Set up several times (each from scratch) and keep the last.
-    let reps = if args.smoke { 1 } else { SETUP_REPS };
-    let mut setups = Vec::with_capacity(reps);
+    let (min_reps, max_reps) = if args.smoke {
+        (1, 1)
+    } else {
+        (SETUP_MIN_REPS, SETUP_MAX_REPS)
+    };
+    let mut setups: Vec<f64> = Vec::with_capacity(max_reps);
     let mut bench: Option<Box<dyn Bench>> = None;
-    for rep in 0..reps {
+    for rep in 0..max_reps {
+        if rep >= min_reps && setups.iter().sum::<f64>() >= SETUP_BUDGET_S {
+            break;
+        }
         drop(bench.take());
         let dir = work.0.join(format!("setup-{rep}"));
         let t0 = Instant::now();
@@ -402,8 +414,8 @@ pub fn run(args: &Args) -> RunResult {
         metrics.push(Metric::new("setup_s", median(&setups), "s"));
         metrics.push(Metric::new("throughput_per_s", outcome.throughput, "1/s"));
         metrics.push(Metric::new(
-            "mean_ms",
-            summarize_ms(&outcome.latencies_ms).mean_ms,
+            "p50_ms",
+            summarize_ms(&outcome.latencies_ms).p50_ms,
             "ms",
         ));
         metrics.push(Metric::new("peak_rss_mb", peak_rss_mb(), "MB"));

@@ -22,7 +22,7 @@ use snia_nn::loss::{bce_with_logits, sigmoid_probs};
 use snia_nn::optim::{Adam, Optimizer};
 use snia_nn::Mode;
 
-use crate::stats::{digest_f64, ms};
+use crate::stats::{digest_f64, median, ms};
 use crate::trace::Probe;
 use crate::{Bench, Outcome, Phase};
 
@@ -250,6 +250,7 @@ impl Bench for TrainBench {
         let mut digests = Vec::new();
         let mut first_loss = None;
         let mut all_finite = true;
+        let mut call_rates = Vec::new();
         let steps_per_call = self.train_ex.len().div_ceil(self.cfg.batch_size) as u64;
         while busy < public_budget || phase.sent == 0 {
             phase.sent += steps_per_call;
@@ -258,6 +259,7 @@ impl Bench for TrainBench {
             match result {
                 Ok(history) => {
                     phase.answered += steps_per_call;
+                    call_rates.push(self.train_ex.len() as f64 / dt.as_secs_f64());
                     let losses: Vec<f64> = history
                         .iter()
                         .flat_map(|r| [r.train_loss, r.val_loss])
@@ -272,7 +274,15 @@ impl Bench for TrainBench {
                 }
             }
         }
-        out.throughput = (digests.len() * self.train_ex.len()) as f64 / busy.as_secs_f64();
+        out.throughput = if call_rates.is_empty() {
+            0.0
+        } else {
+            median(&call_rates)
+        };
+        out.detail(
+            "public_overall_per_s",
+            Value::F64((digests.len() * self.train_ex.len()) as f64 / busy.as_secs_f64()),
+        );
         out.phases.push(phase);
         out.check("train_losses_finite", all_finite && !digests.is_empty());
         out.check(
