@@ -14,8 +14,14 @@
 //!    re-read, and after deliberate on-disk corruption — must match the
 //!    cacheless run bit-for-bit: caching (like batching) must never
 //!    change an answer.
+//! 4. Fixed-seed runs of all three training loops, at 1 and 2 threads,
+//!    with and without a checkpoint directory, must reproduce the digests
+//!    in `tests/golden/train_fingerprint.json` exactly: every history
+//!    field, every final parameter and batch-norm buffer, and the final
+//!    checkpoint bytes. Refactors of the training code must keep these
+//!    bit-identical.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
@@ -26,15 +32,17 @@ use snia_repro::core::classifier::LightCurveClassifier;
 use snia_repro::core::eval::auc;
 use snia_repro::core::flux_cnn::{FluxCnn, PoolKind};
 use snia_repro::core::joint::JointModel;
+use snia_repro::core::resilience::{CheckpointDir, Resilience};
 use snia_repro::core::train::{
     classifier_loss_acc, classifier_scores, feature_matrix, flux_pair_refs, flux_predictions,
-    joint_batch, joint_examples, train_classifier, train_flux_cnn, ClassifierTrainConfig,
-    FluxTrainConfig,
+    joint_batch, joint_examples, train_classifier, train_classifier_resilient, train_flux_cnn,
+    train_flux_cnn_resilient, train_joint_resilient, ClassifierTrainConfig, FluxTrainConfig,
+    TrainRecord,
 };
 use snia_repro::dataset::cache;
 use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
 use snia_repro::nn::loss::sigmoid_probs;
-use snia_repro::nn::{Mode, Tensor};
+use snia_repro::nn::{Mode, Sequential, Tensor};
 use snia_repro::serve::{Engine, EngineConfig, ModelBundle, Request, RequestInput};
 
 const SEED: u64 = 42;
@@ -354,4 +362,192 @@ fn serve_joint_scores_match_direct_forward_calls() {
         }
         engine.shutdown();
     }
+}
+
+/// One training configuration's digest in `train_fingerprint.json`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Fingerprint {
+    case: String,
+    digest: String,
+}
+
+/// 64-bit FNV-1a, folded over `bytes` from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Digest of a finished run: every `TrainRecord` field's bits, the final
+/// parameter values and batch-norm buffers of each network (in parameter
+/// order), and — when the run checkpointed — the final `latest.ckpt`,
+/// which is the byte image of the final `TrainState::to_bytes`.
+fn run_digest(history: &[TrainRecord], nets: &[&Sequential], ckpt: Option<&Path>) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for r in history {
+        for v in [
+            r.epoch as u64,
+            r.train_loss.to_bits(),
+            r.val_loss.to_bits(),
+            r.train_acc.to_bits(),
+            r.val_acc.to_bits(),
+        ] {
+            h = fnv1a(h, &v.to_le_bytes());
+        }
+    }
+    for net in nets {
+        for p in net.params() {
+            h = fnv1a(h, &(p.value.len() as u64).to_le_bytes());
+            for x in p.value.data() {
+                h = fnv1a(h, &x.to_bits().to_le_bytes());
+            }
+        }
+        for buf in net.extra_states() {
+            h = fnv1a(h, &(buf.len() as u64).to_le_bytes());
+            for x in buf {
+                h = fnv1a(h, &x.to_bits().to_le_bytes());
+            }
+        }
+    }
+    if let Some(dir) = ckpt {
+        let latest = CheckpointDir::new(dir).latest_path();
+        let bytes = std::fs::read(&latest).expect("final checkpoint written");
+        let state = CheckpointDir::load_path(&latest).expect("final checkpoint decodes");
+        assert_eq!(
+            state.to_bytes().expect("re-encode"),
+            bytes,
+            "checkpoint file is not the TrainState byte image"
+        );
+        h = fnv1a(h, &bytes);
+    }
+    format!("{h:016x}")
+}
+
+/// Runs the three training loops over a fixed grid (model × threads
+/// {1, 2} × checkpoint dir off/on) and digests each run.
+fn training_fingerprints() -> Vec<Fingerprint> {
+    const CROP: usize = 16;
+    let ds = Dataset::generate(&DatasetConfig {
+        n_samples: 12,
+        catalog_size: 200,
+        seed: SEED,
+    });
+    let (tr, va, _) = split_indices(ds.len(), SEED);
+    let train_refs = flux_pair_refs(&ds, &tr, 2, SEED);
+    let val_refs = flux_pair_refs(&ds, &va, 2, SEED + 1);
+    let (xt, tt, _) = feature_matrix(&ds, &tr, 1);
+    let (xv, tv, _) = feature_matrix(&ds, &va, 1);
+    let train_ex = joint_examples(&tr[..3]);
+    let val_ex = joint_examples(&va);
+
+    let mut out = Vec::new();
+    for threads in [1usize, 2] {
+        for ckpt in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "snia-golden-fingerprint-{}-t{threads}-{ckpt}",
+                std::process::id()
+            ));
+            let res = || {
+                let _ = std::fs::remove_dir_all(&dir);
+                if ckpt {
+                    Resilience::with_dir(&dir)
+                } else {
+                    Resilience::disabled()
+                }
+            };
+            let ckpt_dir = ckpt.then_some(dir.as_path());
+            let case = |model: &str| format!("{model}/threads={threads}/ckpt={ckpt}");
+
+            let mut cnn = FluxCnn::new(CROP, PoolKind::Max, &mut StdRng::seed_from_u64(SEED));
+            let flux_cfg = FluxTrainConfig {
+                crop: CROP,
+                epochs: 2,
+                batch_size: 6,
+                lr: 1e-3,
+                pairs_per_sample: 2,
+                augment: true,
+                seed: SEED,
+                threads,
+            };
+            let hist =
+                train_flux_cnn_resilient(&mut cnn, &ds, &train_refs, &val_refs, &flux_cfg, &res())
+                    .expect("flux run");
+            out.push(Fingerprint {
+                case: case("flux"),
+                digest: run_digest(&hist, &[cnn.network()], ckpt_dir),
+            });
+
+            let clf_cfg = ClassifierTrainConfig {
+                epochs: 3,
+                batch_size: 13,
+                lr: 3e-3,
+                seed: SEED,
+                threads,
+            };
+            let mut clf = LightCurveClassifier::new(1, 8, &mut StdRng::seed_from_u64(SEED));
+            let hist =
+                train_classifier_resilient(&mut clf, (&xt, &tt), (&xv, &tv), &clf_cfg, &res())
+                    .expect("classifier run");
+            out.push(Fingerprint {
+                case: case("classifier"),
+                digest: run_digest(&hist, &[clf.network()], ckpt_dir),
+            });
+
+            let joint_cfg = ClassifierTrainConfig {
+                epochs: 2,
+                batch_size: 5,
+                ..clf_cfg
+            };
+            let mut jm = JointModel::from_scratch(CROP, 8, &mut StdRng::seed_from_u64(SEED));
+            let hist = train_joint_resilient(&mut jm, &ds, &train_ex, &val_ex, &joint_cfg, &res())
+                .expect("joint run");
+            out.push(Fingerprint {
+                case: case("joint"),
+                digest: run_digest(
+                    &hist,
+                    &[jm.cnn().network(), jm.classifier().network()],
+                    ckpt_dir,
+                ),
+            });
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    out
+}
+
+/// Bit-exact pin of all three training loops (see the module docs).
+#[test]
+fn training_fingerprints_match_golden() {
+    let got = training_fingerprints();
+    let path = golden_path("train_fingerprint.json");
+    if std::env::var("SNIA_GOLDEN_REGEN").is_ok() {
+        let json = serde_json::to_string_pretty(&got).expect("serialize fingerprints");
+        std::fs::write(&path, format!("{json}\n")).expect("write golden file");
+        eprintln!("regenerated {}", path.display());
+        return;
+    }
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {} ({e}); regenerate with SNIA_GOLDEN_REGEN=1",
+            path.display()
+        )
+    });
+    let want: Vec<Fingerprint> = serde_json::from_str(&text).expect("parse golden file");
+    let diffs: Vec<String> = want
+        .iter()
+        .zip(&got)
+        .filter(|(w, g)| w != g)
+        .map(|(w, g)| {
+            format!(
+                "{}: golden {} got {} ({})",
+                w.case, w.digest, g.digest, g.case
+            )
+        })
+        .collect();
+    assert_eq!(want.len(), got.len(), "fingerprint case count changed");
+    assert!(
+        diffs.is_empty(),
+        "training is no longer bit-identical:\n{}",
+        diffs.join("\n")
+    );
 }

@@ -6,12 +6,14 @@ use rand::SeedableRng;
 
 use snia_repro::core::classifier::LightCurveClassifier;
 use snia_repro::core::flux_cnn::{FluxCnn, PoolKind};
+use snia_repro::core::joint::JointModel;
 use snia_repro::core::resilience::{
     CheckpointDir, CheckpointError, Checkpointable, FaultPlan, Resilience, WatchdogConfig,
 };
 use snia_repro::core::train::{
-    classifier_scores, feature_matrix, flux_pair_refs, train_classifier_resilient,
-    train_flux_cnn_resilient, ClassifierTrainConfig, FluxTrainConfig,
+    classifier_scores, feature_matrix, flux_pair_refs, joint_examples, joint_scores,
+    train_classifier_resilient, train_flux_cnn_resilient, train_joint_resilient,
+    ClassifierTrainConfig, FluxTrainConfig,
 };
 use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
 use snia_repro::nn::serialize::snapshot;
@@ -175,6 +177,66 @@ fn flux_cnn_resume_reproduces_uninterrupted_run_exactly() {
     assert_eq!(snapshot(a.network()), snapshot(c.network()));
     // BatchNorm running statistics travel through the checkpoint too.
     assert_eq!(a.capture().extra, c.capture().extra);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn joint_resume_reproduces_uninterrupted_run_exactly() {
+    // The joint checkpoint concatenates the CNN's state and the
+    // classifier's; resume must split it back exactly. The watchdog stays
+    // off so only checkpoint/resume separates the two runs.
+    let ds = small_dataset(26);
+    let (tr, va, te) = split_indices(ds.len(), 4);
+    let crop = 16;
+    let train_ex = joint_examples(&tr[..4]);
+    let val_ex = joint_examples(&va[..2]);
+    let test_ex = joint_examples(&te[..2]);
+    let cfg = |epochs| ClassifierTrainConfig {
+        epochs,
+        batch_size: 8,
+        lr: 3e-3,
+        seed: 47,
+        threads: 1,
+    };
+    let fresh = || JointModel::from_scratch(crop, 8, &mut StdRng::seed_from_u64(23));
+    let dir = scratch_dir("joint-resume");
+    let checkpointing = || Resilience {
+        checkpoint_dir: Some(dir.clone()),
+        ..Resilience::disabled()
+    };
+
+    let mut a = fresh();
+    let hist_a = train_joint_resilient(
+        &mut a,
+        &ds,
+        &train_ex,
+        &val_ex,
+        &cfg(2),
+        &Resilience::disabled(),
+    )
+    .expect("reference run");
+    assert_eq!(hist_a.len(), 2);
+
+    let mut b = fresh();
+    let partial = train_joint_resilient(&mut b, &ds, &train_ex, &val_ex, &cfg(1), &checkpointing())
+        .expect("partial run");
+    assert_eq!(partial.len(), 1);
+    let mut c = fresh();
+    let hist_c = train_joint_resilient(&mut c, &ds, &train_ex, &val_ex, &cfg(2), &checkpointing())
+        .expect("resumed run");
+
+    assert_eq!(hist_a, hist_c);
+    for (x, y) in [
+        (a.cnn().network(), c.cnn().network()),
+        (a.classifier().network(), c.classifier().network()),
+    ] {
+        assert_eq!(snapshot(x), snapshot(y));
+        assert_eq!(x.extra_states(), y.extra_states());
+    }
+    assert_eq!(
+        joint_scores(&mut a, &ds, &test_ex, 4),
+        joint_scores(&mut c, &ds, &test_ex, 4)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
