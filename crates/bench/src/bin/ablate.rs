@@ -22,7 +22,7 @@ use snia_core::input::batch_pairs_with;
 use snia_core::train::{
     classifier_scores, feature_matrix, flux_pair_refs, train_classifier, ClassifierTrainConfig,
 };
-use snia_core::ExperimentConfig;
+use snia_core::{ExperimentConfig, Model};
 use snia_dataset::{split_indices, Dataset};
 use snia_lightcurve::Band;
 use snia_nn::layers::{Linear, Relu};

@@ -4,8 +4,7 @@
 //! output by construction, so this is pure wall-clock — and (2) one
 //! training epoch's worth of stamp rendering on the paper's 65×65
 //! geometry, uncached vs. a cold cache fill vs. warm (memory) and warm
-//! (disk) re-reads. Writes `BENCH_render.json` at the workspace root
-//! (where the ISSUE acceptance numbers live) and a copy under `results/`.
+//! (disk) re-reads. Writes `BENCH_render.json` at the workspace root.
 //!
 //! Run with `cargo run --release -p snia-bench --bin bench_render`.
 
@@ -13,7 +12,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use snia_bench::{progress, write_json, Table};
+use snia_bench::{progress, Table};
 use snia_core::ExperimentConfig;
 use snia_dataset::cache;
 use snia_dataset::{Dataset, DatasetConfig};
@@ -180,5 +179,4 @@ fn main() {
     let json = serde_json::to_string_pretty(&result).expect("serialize");
     std::fs::write("BENCH_render.json", format!("{json}\n")).expect("write BENCH_render.json");
     progress!("wrote BENCH_render.json");
-    write_json("bench_render", &result);
 }

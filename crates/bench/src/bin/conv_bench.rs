@@ -3,8 +3,7 @@
 //! Times the im2col/GEMM conv backend against the naive reference on the
 //! paper's 65×65 single-band geometry, and the data-parallel joint
 //! training loop at 1/2/4 threads. Writes `BENCH_conv.json` at the
-//! workspace root (where the ISSUE acceptance numbers live) and a copy
-//! under `results/`.
+//! workspace root.
 //!
 //! Run with `cargo run --release -p snia-bench --bin conv_bench`.
 
@@ -14,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use snia_bench::{progress, write_json, Table};
+use snia_bench::{progress, Table};
 use snia_core::joint::JointModel;
 use snia_core::train::{joint_examples, train_joint, ClassifierTrainConfig};
 use snia_core::ExperimentConfig;
@@ -175,5 +174,4 @@ fn main() {
     let json = serde_json::to_string_pretty(&result).expect("serialize");
     std::fs::write("BENCH_conv.json", format!("{json}\n")).expect("write BENCH_conv.json");
     progress!("wrote BENCH_conv.json");
-    write_json("conv_bench", &result);
 }

@@ -273,7 +273,6 @@ fn main() {
     );
 
     let serve = bench_serve(&ds, cfg.seed ^ 0x5E4E);
-    write_json("serve", &serve);
     let json = serde_json::to_string_pretty(&serve).expect("serialize serve bench");
     std::fs::write("BENCH_serve.json", format!("{json}\n")).expect("write BENCH_serve.json");
     progress!("wrote BENCH_serve.json");

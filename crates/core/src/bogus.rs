@@ -21,7 +21,6 @@ use snia_nn::loss::{bce_with_logits, sigmoid_probs};
 use snia_nn::optim::{Adam, Optimizer};
 use snia_nn::{Mode, Param, Sequential, Tensor};
 use snia_skysim::artifacts::peak_sharpness;
-use snia_skysim::Image;
 
 /// Input crop for the vetting CNN.
 pub const BOGUS_CROP: usize = 32;
@@ -202,11 +201,6 @@ pub fn handcrafted_features(example: &BogusExample) -> Vec<f64> {
         off,
         (1.0 + moment).ln(),
     ]
-}
-
-/// Convenience: difference image of an example (re-exported for benches).
-pub fn difference_of(example: &BogusExample) -> Image {
-    example.difference()
 }
 
 #[cfg(test)]

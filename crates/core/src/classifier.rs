@@ -1,9 +1,12 @@
 //! The fully-connected light-curve classifier (second stage of Figure 6).
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use snia_nn::layers::{Highway, Linear, Relu};
-use snia_nn::{Mode, Param, Sequential, Tensor};
+use snia_nn::{Mode, Sequential, Tensor};
+
+use crate::Model;
 
 /// The paper's SNIa-vs-rest classifier: an input fully-connected layer,
 /// two highway layers (Srivastava et al. 2015) and an output
@@ -75,21 +78,6 @@ impl LightCurveClassifier {
         self.net.backward(grad)
     }
 
-    /// All learnable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.net.params_mut()
-    }
-
-    /// Immutable parameter view.
-    pub fn params(&self) -> Vec<&Param> {
-        self.net.params()
-    }
-
-    /// Zeroes accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.net.zero_grad();
-    }
-
     /// Total scalar parameter count.
     pub fn num_parameters(&self) -> usize {
         self.net.num_parameters()
@@ -106,29 +94,23 @@ impl LightCurveClassifier {
     }
 }
 
-impl crate::parallel::Replica for LightCurveClassifier {
+impl Model for LightCurveClassifier {
+    fn networks(&self) -> Vec<&Sequential> {
+        vec![&self.net]
+    }
+    fn networks_mut(&mut self) -> Vec<&mut Sequential> {
+        vec![&mut self.net]
+    }
     fn replicate(&self) -> Self {
-        // The RNG only seeds throwaway initial weights; the executor
-        // overwrites every parameter value before each step.
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
+        // The RNG only seeds throwaway initial weights.
+        let mut rng = StdRng::seed_from_u64(0);
         LightCurveClassifier::new(self.input_dim / 10, self.hidden, &mut rng)
-    }
-    fn params(&self) -> Vec<&Param> {
-        LightCurveClassifier::params(self)
-    }
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        LightCurveClassifier::params_mut(self)
-    }
-    fn zero_grad(&mut self) {
-        LightCurveClassifier::zero_grad(self);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use snia_nn::init;
     use snia_nn::loss::bce_with_logits;
     use snia_nn::optim::{Adam, Optimizer};

@@ -1,9 +1,12 @@
 //! The band-wise convolutional magnitude estimator (paper Figure 7).
 
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use snia_nn::layers::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, PRelu, Padding};
-use snia_nn::{Mode, Param, Sequential, Tensor};
+use snia_nn::{Mode, Sequential, Tensor};
+
+use crate::Model;
 
 /// Pooling flavour for the convolution blocks; the paper argues max
 /// pooling is essential ("every observation contains no more than 1
@@ -96,21 +99,6 @@ impl FluxCnn {
         self.net.backward(grad)
     }
 
-    /// All learnable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.net.params_mut()
-    }
-
-    /// Immutable parameter view.
-    pub fn params(&self) -> Vec<&Param> {
-        self.net.params()
-    }
-
-    /// Zeroes accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.net.zero_grad();
-    }
-
     /// Total scalar parameter count.
     pub fn num_parameters(&self) -> usize {
         self.net.num_parameters()
@@ -132,29 +120,22 @@ impl FluxCnn {
     }
 }
 
-impl crate::parallel::Replica for FluxCnn {
+impl Model for FluxCnn {
+    fn networks(&self) -> Vec<&Sequential> {
+        vec![&self.net]
+    }
+    fn networks_mut(&mut self) -> Vec<&mut Sequential> {
+        vec![&mut self.net]
+    }
     fn replicate(&self) -> Self {
-        // The RNG only seeds throwaway initial weights; the executor
-        // overwrites every parameter value before each step.
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
-        FluxCnn::new(self.crop, self.pool, &mut rng)
-    }
-    fn params(&self) -> Vec<&Param> {
-        FluxCnn::params(self)
-    }
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        FluxCnn::params_mut(self)
-    }
-    fn zero_grad(&mut self) {
-        FluxCnn::zero_grad(self);
+        // The RNG only seeds throwaway initial weights.
+        FluxCnn::new(self.crop, self.pool, &mut StdRng::seed_from_u64(0))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use snia_nn::init;
 
     #[test]

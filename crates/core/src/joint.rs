@@ -2,10 +2,11 @@
 
 use rand::Rng;
 
-use snia_nn::{Mode, Param, Tensor};
+use snia_nn::{Mode, Param, Sequential, Tensor};
 
 use crate::classifier::LightCurveClassifier;
 use crate::flux_cnn::{FluxCnn, PoolKind};
+use crate::Model;
 
 /// The end-to-end model: five band images pass through the *shared*
 /// band-wise CNN to produce five magnitude estimates, which are
@@ -68,16 +69,6 @@ impl JointModel {
         &self.classifier
     }
 
-    /// Write access to the shared band CNN (checkpoint restore).
-    pub fn cnn_mut(&mut self) -> &mut FluxCnn {
-        &mut self.cnn
-    }
-
-    /// Write access to the classifier head (checkpoint restore).
-    pub fn classifier_mut(&mut self) -> &mut LightCurveClassifier {
-        &mut self.classifier
-    }
-
     /// Forward pass.
     ///
     /// * `images` — `(5N, 1, S, S)`: for sample `n`, rows `5n..5n+5` are its
@@ -123,50 +114,27 @@ impl JointModel {
         self.cnn.backward(&grad_mags)
     }
 
-    /// All learnable parameters (CNN first, then classifier).
+    /// All learnable parameters (CNN first, then classifier); the same
+    /// list as [`Model::params_mut`], callable without importing the trait.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = self.cnn.params_mut();
-        v.extend(self.classifier.params_mut());
-        v
-    }
-
-    /// Immutable parameter view.
-    pub fn params(&self) -> Vec<&Param> {
-        let mut v = self.cnn.params();
-        v.extend(self.classifier.params());
-        v
-    }
-
-    /// Zeroes all accumulated gradients.
-    pub fn zero_grad(&mut self) {
-        self.cnn.zero_grad();
-        self.classifier.zero_grad();
+        Model::params_mut(self)
     }
 
     /// Total scalar parameter count.
     pub fn num_parameters(&self) -> usize {
         self.cnn.num_parameters() + self.classifier.num_parameters()
     }
-
-    /// Splits the model back into its parts (e.g. to snapshot them
-    /// separately).
-    pub fn into_parts(self) -> (FluxCnn, LightCurveClassifier) {
-        (self.cnn, self.classifier)
-    }
 }
 
-impl crate::parallel::Replica for JointModel {
+impl Model for JointModel {
+    fn networks(&self) -> Vec<&Sequential> {
+        vec![self.cnn.network(), self.classifier.network()]
+    }
+    fn networks_mut(&mut self) -> Vec<&mut Sequential> {
+        vec![self.cnn.network_mut(), self.classifier.network_mut()]
+    }
     fn replicate(&self) -> Self {
         JointModel::from_pretrained(self.cnn.replicate(), self.classifier.replicate())
-    }
-    fn params(&self) -> Vec<&Param> {
-        JointModel::params(self)
-    }
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        JointModel::params_mut(self)
-    }
-    fn zero_grad(&mut self) {
-        JointModel::zero_grad(self);
     }
 }
 

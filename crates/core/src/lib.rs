@@ -18,7 +18,11 @@
 //!   pre-trained parts (or trained from scratch, for the Figure 12
 //!   comparison).
 //!
-//! Plus the training loops ([`train`]), evaluation metrics
+//! All three implement [`Model`], the trait the training loop
+//! ([`train`]), the data-parallel executor ([`parallel`]) and
+//! checkpointing ([`resilience`]) work through.
+//!
+//! Plus the training loop ([`train`]), evaluation metrics
 //! ([`eval`]: ROC/AUC, regression losses) and experiment configuration
 //! ([`config`]: `SNIA_SCALE` / `SNIA_FULL` / `SNIA_SEED` environment
 //! overrides) used by every experiment regenerator in `snia-bench`.
@@ -33,6 +37,7 @@ pub mod eval;
 pub mod flux_cnn;
 pub mod input;
 pub mod joint;
+pub mod model;
 pub mod parallel;
 pub mod resilience;
 pub mod train;
@@ -46,8 +51,7 @@ pub use eval::{auc, roc_curve, RocPoint};
 pub use flux_cnn::FluxCnn;
 pub use input::{mag_to_target, pair_to_input, target_to_mag};
 pub use joint::JointModel;
-pub use parallel::{BatchExecutor, Replica};
-pub use resilience::{
-    CheckpointDir, CheckpointError, Checkpointable, FaultPlan, Resilience, TrainState,
-};
+pub use model::Model;
+pub use parallel::BatchExecutor;
+pub use resilience::{CheckpointDir, CheckpointError, FaultPlan, Resilience, TrainState};
 pub use train::TrainError;

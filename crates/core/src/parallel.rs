@@ -1,7 +1,7 @@
 //! Data-parallel minibatch execution.
 //!
-//! [`BatchExecutor`] shards each minibatch across `N` replicas of a model
-//! ([`Replica`]), runs forward/backward on every shard concurrently with
+//! [`BatchExecutor`] shards each minibatch across `N` replicas of a
+//! [`Model`], runs forward/backward on every shard concurrently with
 //! `std::thread::scope`, accumulates the worker gradients back into the
 //! master in a fixed order, and leaves the (single) optimizer step to the
 //! caller. Each shard scales its loss gradient by `shard / total` so the
@@ -14,26 +14,7 @@
 
 use std::ops::Range;
 
-use snia_nn::Param;
-
-/// A model that can clone its architecture for data-parallel workers.
-///
-/// `replicate` must produce a structurally identical model (same layers,
-/// same parameter shapes, same order from `params`); parameter *values*
-/// are overwritten by the executor before every step, so their initial
-/// state does not matter.
-pub trait Replica: Send {
-    /// Builds a structurally identical model.
-    fn replicate(&self) -> Self
-    where
-        Self: Sized;
-    /// Immutable parameter view (replication order).
-    fn params(&self) -> Vec<&Param>;
-    /// Mutable parameter view (replication order).
-    fn params_mut(&mut self) -> Vec<&mut Param>;
-    /// Zeroes accumulated gradients.
-    fn zero_grad(&mut self);
-}
+use crate::Model;
 
 /// Per-shard forward/backward outcome, combined by weighted average
 /// (losses) and summation (counts).
@@ -64,7 +45,9 @@ const MAX_WORKER_STRIKES: u32 = 2;
 
 /// Shards minibatches across worker replicas of a model.
 ///
-/// Holds `threads - 1` worker replicas; shard 0 always runs on the master
+/// Holds `threads - 1` worker replicas (built with [`Model::replicate`];
+/// the executor copies the master's parameter values into them before
+/// every step); shard 0 always runs on the master
 /// model in the calling thread, so `threads == 1` adds no replicas, no
 /// synchronisation and no thread spawns.
 ///
@@ -78,7 +61,7 @@ pub struct BatchExecutor<M> {
     strikes: Vec<u32>,
 }
 
-impl<M: Replica> BatchExecutor<M> {
+impl<M: Model> BatchExecutor<M> {
     /// Builds an executor with `threads.max(1)` total shards.
     pub fn new(master: &M, threads: usize) -> Self {
         let workers: Vec<M> = (1..threads.max(1)).map(|_| master.replicate()).collect();
@@ -237,7 +220,7 @@ impl<M: Replica> BatchExecutor<M> {
 }
 
 /// Copies parameter values (not gradients) from `src` into `dst`.
-fn sync_values<M: Replica>(dst: &mut M, src: &M) {
+fn sync_values<M: Model>(dst: &mut M, src: &M) {
     let src_params = src.params();
     let dst_params = dst.params_mut();
     assert_eq!(src_params.len(), dst_params.len(), "replica param mismatch");
@@ -256,34 +239,38 @@ pub use snia_dataset::parallel::shard_ranges;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snia_nn::Tensor;
 
-    /// A linear scorer `y = w·x` used to make gradient math transparent.
-    #[derive(Debug)]
-    struct Toy {
-        w: Param,
-    }
+    use snia_nn::layers::Linear;
+    use snia_nn::{Param, Sequential, Tensor};
+
+    /// A linear scorer `y = w·x + b` used to make gradient math
+    /// transparent; the shard closures below write `w`'s gradient directly.
+    struct Toy(Sequential);
 
     impl Toy {
         fn new() -> Self {
-            Toy {
-                w: Param::new("w", Tensor::from_vec(vec![1], vec![2.0])),
-            }
+            let w = Tensor::from_vec(vec![1, 1], vec![2.0]);
+            let mut net = Sequential::new();
+            net.push(Linear::from_parts(w, Tensor::zeros(vec![1])));
+            Toy(net)
+        }
+        fn w(&self) -> &Param {
+            self.params()[0]
+        }
+        fn w_mut(&mut self) -> &mut Param {
+            self.params_mut().remove(0)
         }
     }
 
-    impl Replica for Toy {
+    impl Model for Toy {
+        fn networks(&self) -> Vec<&Sequential> {
+            vec![&self.0]
+        }
+        fn networks_mut(&mut self) -> Vec<&mut Sequential> {
+            vec![&mut self.0]
+        }
         fn replicate(&self) -> Self {
             Toy::new()
-        }
-        fn params(&self) -> Vec<&Param> {
-            vec![&self.w]
-        }
-        fn params_mut(&mut self) -> Vec<&mut Param> {
-            vec![&mut self.w]
-        }
-        fn zero_grad(&mut self) {
-            self.w.grad.fill_zero();
         }
     }
 
@@ -294,7 +281,7 @@ mod tests {
         move |model, range, scale| {
             let shard = &xs[range.clone()];
             let g: f32 = shard.iter().sum::<f32>() / shard.len() as f32;
-            model.w.grad.data_mut()[0] += g * scale;
+            model.w_mut().grad.data_mut()[0] += g * scale;
             ShardStats::regression(f64::from(g), shard.len())
         }
     }
@@ -307,7 +294,7 @@ mod tests {
         let xs = [1.0f32, 2.0, 3.0, 6.0];
         let stats = exec.step(&mut m, xs.len(), shard_run(&xs));
         assert_eq!(stats.samples, 4);
-        assert_eq!(m.w.grad.data()[0], 3.0);
+        assert_eq!(m.w().grad.data()[0], 3.0);
         assert_eq!(stats.loss, 3.0);
     }
 
@@ -324,7 +311,7 @@ mod tests {
             assert_eq!(exec.threads(), threads);
             let stats = exec.step(&mut m, xs.len(), shard_run(&xs));
             assert_eq!(stats.samples, xs.len());
-            let got = m.w.grad.data()[0];
+            let got = m.w().grad.data()[0];
             match want {
                 None => want = Some(got),
                 Some(w) => assert_eq!(got, w, "threads={threads}"),
@@ -339,29 +326,29 @@ mod tests {
         let mut exec = BatchExecutor::new(&m, 4);
         let stats = exec.step(&mut m, xs.len(), shard_run(&xs));
         assert_eq!(stats.samples, 2);
-        assert_eq!(m.w.grad.data()[0], 6.0);
+        assert_eq!(m.w().grad.data()[0], 6.0);
     }
 
     #[test]
     fn step_zeroes_stale_gradients() {
         let xs = [2.0f32, 2.0];
         let mut m = Toy::new();
-        m.w.grad.data_mut()[0] = 99.0;
+        m.w_mut().grad.data_mut()[0] = 99.0;
         let mut exec = BatchExecutor::new(&m, 2);
         exec.step(&mut m, xs.len(), shard_run(&xs));
-        assert_eq!(m.w.grad.data()[0], 2.0);
+        assert_eq!(m.w().grad.data()[0], 2.0);
     }
 
     #[test]
     fn workers_see_master_values() {
         let xs = [1.0f32, 1.0];
         let mut m = Toy::new();
-        m.w.value.data_mut()[0] = 7.0;
+        m.w_mut().value.data_mut()[0] = 7.0;
         let mut exec = BatchExecutor::new(&m, 2);
         // Worker replicas start from Toy::new() (w = 2); the closure reads
         // the synced value to prove the executor copied it over.
         let stats = exec.step(&mut m, xs.len(), |model, range, _| {
-            ShardStats::regression(f64::from(model.w.value.data()[0]), range.len())
+            ShardStats::regression(f64::from(model.w().value.data()[0]), range.len())
         });
         assert_eq!(stats.loss, 7.0);
     }
@@ -391,7 +378,7 @@ mod tests {
         let xs: Vec<f32> = (0..16).map(|i| (i % 8) as f32 - 4.0).collect();
         let mut seq = Toy::new();
         BatchExecutor::new(&seq, 1).step(&mut seq, xs.len(), shard_run(&xs));
-        let want = seq.w.grad.data()[0];
+        let want = seq.w().grad.data()[0];
 
         let bomb = AtomicBool::new(true);
         let mut m = Toy::new();
@@ -407,7 +394,7 @@ mod tests {
             shard_run(&xs)(model, range, scale)
         });
         assert_eq!(stats.samples, xs.len());
-        assert_eq!(m.w.grad.data()[0], want);
+        assert_eq!(m.w().grad.data()[0], want);
         assert_eq!(exec.threads(), 4, "one strike must not drop the worker");
     }
 
@@ -428,11 +415,11 @@ mod tests {
                 shard_run(&xs)(model, range, scale)
             });
             assert_eq!(stats.samples, xs.len(), "round {round}");
-            assert_eq!(m.w.grad.data()[0], 3.0, "round {round}");
+            assert_eq!(m.w().grad.data()[0], 3.0, "round {round}");
         }
         assert_eq!(exec.threads(), 1, "worker must be dropped after strikes");
         let stats = exec.step(&mut m, xs.len(), shard_run(&xs));
         assert_eq!(stats.samples, xs.len());
-        assert_eq!(m.w.grad.data()[0], 3.0);
+        assert_eq!(m.w().grad.data()[0], 3.0);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Long training runs die for boring reasons — pre-emption, OOM kills,
 //! power loss — and occasionally for interesting ones (a diverging loss,
-//! a panicking worker thread). This module makes all three training loops
-//! in [`crate::train`] restartable and self-correcting:
+//! a panicking worker thread). This module makes every training run in
+//! [`crate::train`] restartable and self-correcting:
 //!
 //! * **Full-state checkpointing.** A [`TrainState`] carries everything a
 //!   bit-identical resume needs: model weights *and* non-learnable buffers
@@ -30,67 +30,16 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use snia_dataset::framing::{decode_framed, encode_framed, FrameError};
 use snia_nn::optim::{Adam, AdamState, OptimError};
-use snia_nn::serialize::{self, write_atomic, Checkpoint, LoadError};
+use snia_nn::serialize::{write_atomic, Checkpoint, LoadError};
 use snia_nn::StateError;
 
-use crate::classifier::LightCurveClassifier;
-use crate::flux_cnn::FluxCnn;
-use crate::joint::JointModel;
 use crate::train::TrainRecord;
+use crate::Model;
 
 /// On-disk checkpoint format version (the `v1` in the header line).
 pub const CHECKPOINT_VERSION: u32 = 1;
-
-// ---------------------------------------------------------------------------
-// CRC-32 + framed encoding (canonical implementation: snia_dataset::framing)
-// ---------------------------------------------------------------------------
-
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) of `bytes`.
-///
-/// Delegates to [`snia_dataset::framing::crc32`], the canonical
-/// implementation shared with the render-cache stamp store.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    snia_dataset::framing::crc32(bytes)
-}
-
-/// Frames `body` under a CRC-validated single-line header:
-/// `<magic> v<version> crc32=<hex8> len=<bytes>\n` followed by the raw body.
-///
-/// [`TrainState`] checkpoints (`SNIA-CKPT`), `snia-serve` model bundles
-/// (`SNIA-BUNDLE`) and render-cache stamps (`SNIA-STAMP`) share this
-/// envelope — the canonical implementation lives in
-/// [`snia_dataset::framing`] (the lowest crate that writes artefacts), so
-/// corruption detection behaves identically for every file the toolkit
-/// writes.
-pub fn encode_framed(magic: &str, version: u32, body: &[u8]) -> Vec<u8> {
-    snia_dataset::framing::encode_framed(magic, version, body)
-}
-
-/// Validates and strips an [`encode_framed`] header, returning the body.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::BadHeader`] when the header line is missing,
-/// malformed or carries a different magic, [`CheckpointError::Version`] on a
-/// version mismatch, [`CheckpointError::Truncated`] when the body length
-/// disagrees with the header, and [`CheckpointError::CrcMismatch`] when the
-/// body fails its checksum.
-pub fn decode_framed<'a>(
-    magic: &str,
-    version: u32,
-    bytes: &'a [u8],
-) -> Result<&'a [u8], CheckpointError> {
-    use snia_dataset::framing::FrameError;
-    snia_dataset::framing::decode_framed(magic, version, bytes).map_err(|e| match e {
-        FrameError::BadHeader => CheckpointError::BadHeader,
-        FrameError::Truncated { expected, found } => CheckpointError::Truncated { expected, found },
-        FrameError::CrcMismatch { expected, found } => {
-            CheckpointError::CrcMismatch { expected, found }
-        }
-        FrameError::Version { found } => CheckpointError::Version { found },
-    })
-}
 
 // ---------------------------------------------------------------------------
 // Train state
@@ -238,6 +187,21 @@ impl std::error::Error for CheckpointError {
             CheckpointError::State(e) => Some(e),
             CheckpointError::Optim(e) => Some(e),
             _ => None,
+        }
+    }
+}
+
+impl From<FrameError> for CheckpointError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::BadHeader => CheckpointError::BadHeader,
+            FrameError::Truncated { expected, found } => {
+                CheckpointError::Truncated { expected, found }
+            }
+            FrameError::CrcMismatch { expected, found } => {
+                CheckpointError::CrcMismatch { expected, found }
+            }
+            FrameError::Version { found } => CheckpointError::Version { found },
         }
     }
 }
@@ -697,104 +661,11 @@ impl Resilience {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpointable models
+// Train state capture/restore
 // ---------------------------------------------------------------------------
 
-/// A model whose complete state can be captured into a [`ModelState`] and
-/// restored from one.
-pub trait Checkpointable {
-    /// Captures weights and non-learnable buffers.
-    fn capture(&self) -> ModelState;
-
-    /// Restores a previously captured state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Model`] or [`CheckpointError::State`]
-    /// when the state does not fit this model.
-    fn restore(&mut self, state: &ModelState) -> Result<(), CheckpointError>;
-}
-
-impl Checkpointable for FluxCnn {
-    fn capture(&self) -> ModelState {
-        ModelState {
-            weights: serialize::snapshot(self.network()),
-            extra: self.network().extra_states(),
-        }
-    }
-
-    fn restore(&mut self, state: &ModelState) -> Result<(), CheckpointError> {
-        serialize::restore(self.network_mut(), &state.weights)?;
-        self.network_mut().load_extra_states(&state.extra)?;
-        Ok(())
-    }
-}
-
-impl Checkpointable for LightCurveClassifier {
-    fn capture(&self) -> ModelState {
-        ModelState {
-            weights: serialize::snapshot(self.network()),
-            extra: self.network().extra_states(),
-        }
-    }
-
-    fn restore(&mut self, state: &ModelState) -> Result<(), CheckpointError> {
-        serialize::restore(self.network_mut(), &state.weights)?;
-        self.network_mut().load_extra_states(&state.extra)?;
-        Ok(())
-    }
-}
-
-impl Checkpointable for JointModel {
-    fn capture(&self) -> ModelState {
-        let mut weights = serialize::snapshot(self.cnn().network());
-        weights
-            .tensors
-            .extend(serialize::snapshot(self.classifier().network()).tensors);
-        let mut extra = self.cnn().network().extra_states();
-        extra.extend(self.classifier().network().extra_states());
-        ModelState { weights, extra }
-    }
-
-    fn restore(&mut self, state: &ModelState) -> Result<(), CheckpointError> {
-        // The joint state is the CNN's tensors followed by the
-        // classifier's; split by the CNN's parameter and layer counts.
-        let n_params = self.cnn().network().params().len();
-        let n_layers = self.cnn().network().len();
-        let total_params = n_params + self.classifier().network().params().len();
-        let total_layers = n_layers + self.classifier().network().len();
-        if state.weights.tensors.len() != total_params {
-            return Err(CheckpointError::Model(LoadError::CountMismatch {
-                expected: total_params,
-                found: state.weights.tensors.len(),
-            }));
-        }
-        if state.extra.len() != total_layers {
-            return Err(CheckpointError::State(StateError::LayerCount {
-                expected: total_layers,
-                found: state.extra.len(),
-            }));
-        }
-        let cnn_ckpt = Checkpoint {
-            tensors: state.weights.tensors[..n_params].to_vec(),
-        };
-        let cls_ckpt = Checkpoint {
-            tensors: state.weights.tensors[n_params..].to_vec(),
-        };
-        serialize::restore(self.cnn_mut().network_mut(), &cnn_ckpt)?;
-        serialize::restore(self.classifier_mut().network_mut(), &cls_ckpt)?;
-        self.cnn_mut()
-            .network_mut()
-            .load_extra_states(&state.extra[..n_layers])?;
-        self.classifier_mut()
-            .network_mut()
-            .load_extra_states(&state.extra[n_layers..])?;
-        Ok(())
-    }
-}
-
 /// Captures a full [`TrainState`] from the live training objects.
-pub fn capture_state<M: Checkpointable>(
+pub fn capture_state<M: Model>(
     model: &M,
     opt: &Adam,
     rng: &StdRng,
@@ -819,7 +690,7 @@ pub fn capture_state<M: Checkpointable>(
 ///
 /// Returns a [`CheckpointError`] when the state does not fit the model or
 /// carries invalid optimizer hyper-parameters.
-pub fn restore_state<M: Checkpointable>(
+pub fn restore_state<M: Model>(
     state: &TrainState,
     model: &mut M,
     opt: &mut Adam,
@@ -869,11 +740,6 @@ impl<'a> Guardian<'a> {
         }
     }
 
-    /// The fault plan, for injection sites inside shard closures.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.res.faults
-    }
-
     /// Whether per-step watchdog checks are active (lets loops skip
     /// gradient-norm computation otherwise).
     pub fn watchdog_active(&self) -> bool {
@@ -888,7 +754,7 @@ impl<'a> Guardian<'a> {
     ///
     /// Returns a [`CheckpointError`] when a checkpoint exists but cannot
     /// be decoded or does not fit the model.
-    pub fn begin<M: Checkpointable>(
+    pub fn begin<M: Model>(
         &mut self,
         model: &mut M,
         opt: &mut Adam,
@@ -952,7 +818,7 @@ impl<'a> Guardian<'a> {
     ///
     /// Returns a [`CheckpointError`] when the rollback state cannot be
     /// applied or re-persisted.
-    pub fn rollback<M: Checkpointable>(
+    pub fn rollback<M: Model>(
         &mut self,
         model: &mut M,
         opt: &mut Adam,
@@ -995,7 +861,7 @@ impl<'a> Guardian<'a> {
     ///
     /// Returns a [`CheckpointError`] when the checkpoint cannot be
     /// written.
-    pub fn epoch_end<M: Checkpointable>(
+    pub fn epoch_end<M: Model>(
         &mut self,
         model: &M,
         opt: &Adam,
@@ -1060,13 +926,6 @@ mod tests {
                 val_acc: f64::NAN,
             }],
         }
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The canonical IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

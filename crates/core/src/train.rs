@@ -1,9 +1,11 @@
-//! Training loops for the three models.
+//! Training for the three models.
 //!
-//! All loops are deterministic given their seed, stream-render their
-//! batches from [`SampleSpec`]s (images are never cached across epochs, so
-//! memory stays flat even at paper scale) and record per-epoch train/val
-//! curves for the Figure 12 experiment.
+//! One loop (`fit`) trains every model; a small per-model task supplies
+//! the examples, loss and end-of-epoch evaluation. Training is
+//! deterministic given the seed, stream-renders batches from
+//! [`SampleSpec`]s (images are never cached across epochs, so memory stays
+//! flat even at paper scale) and records per-epoch train/val curves for
+//! the Figure 12 experiment.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -22,6 +24,7 @@ use crate::input::{mag_to_target, target_to_mag};
 use crate::joint::JointModel;
 use crate::parallel::{BatchExecutor, ShardStats};
 use crate::resilience::{CheckpointError, Divergence, Guardian, Resilience};
+use crate::Model;
 
 /// One epoch of a training history.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -105,6 +108,187 @@ fn grad_norm(params: &[&Param]) -> f64 {
         })
         .sum::<f64>()
         .sqrt()
+}
+
+/// A shard's loss gradient scaled by its share of the minibatch (see
+/// [`BatchExecutor::step`]).
+fn scaled(grad: Tensor, scale: f32) -> Tensor {
+    if scale == 1.0 {
+        grad
+    } else {
+        &grad * scale
+    }
+}
+
+/// Number of logits whose 0.5-threshold sigmoid matches the binary target.
+fn correct_count(logits: &Tensor, targets: &Tensor) -> usize {
+    sigmoid_probs(logits)
+        .data()
+        .iter()
+        .zip(targets.data())
+        .filter(|(&p, &t)| (p >= 0.5) == (t >= 0.5))
+        .count()
+}
+
+// ---------------------------------------------------------------------------
+// The training loop
+// ---------------------------------------------------------------------------
+
+/// What one model's training run supplies to [`fit`]: its examples, its
+/// loss and its end-of-epoch evaluation. Shuffling, sharding, fault
+/// injection, the watchdog, rollback, Adam and checkpointing are shared.
+trait Task: Sync {
+    /// The model being trained.
+    type Model: Model;
+    /// Model name in spans and [`TrainError::Diverged`].
+    const NAME: &'static str;
+    /// What [`TrainError::EmptySplit`] reports for an empty split.
+    const EXAMPLES: &'static str;
+
+    /// Training and validation example counts.
+    fn sizes(&self) -> (usize, usize);
+
+    /// One training example's draw from the master RNG, made in example
+    /// order before the batch is sharded (so the stream is identical for
+    /// every thread count). Tasks without random augmentation draw
+    /// nothing.
+    fn draw(&self, _rng: &mut StdRng) -> u8 {
+        0
+    }
+
+    /// Renders the training examples `examples` (indices into the
+    /// training split) with their draws, runs the training-mode forward
+    /// pass through [`timed_forward`], and backpropagates the loss
+    /// gradient scaled by `scale` (the shard's share of the minibatch).
+    fn shard(
+        &self,
+        model: &mut Self::Model,
+        examples: &[usize],
+        draws: &[u8],
+        scale: f32,
+    ) -> ShardStats;
+
+    /// End-of-epoch `(val_loss, train_acc, val_acc)`, given the epoch's
+    /// mean minibatch accuracy.
+    fn evaluate(&self, model: &mut Self::Model, batch_acc: f64) -> (f64, f64, f64);
+}
+
+/// Trains `model` on `task` with Adam minibatches under the resilience
+/// policy `res`, recording one [`TrainRecord`] per epoch. With
+/// [`Resilience::disabled`] nothing but the plain loop runs.
+fn fit<T: Task>(
+    task: &T,
+    model: &mut T::Model,
+    cfg: &ClassifierTrainConfig,
+    res: &Resilience,
+) -> Result<Vec<TrainRecord>, TrainError> {
+    let (n_train, n_val) = task.sizes();
+    if n_train == 0 || n_val == 0 {
+        return Err(TrainError::EmptySplit { what: T::EXAMPLES });
+    }
+    if cfg.epochs == 0 {
+        return Ok(Vec::new());
+    }
+    let _fit = snia_telemetry::span!("fit", model = T::NAME, epochs = cfg.epochs);
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut opt = Adam::new(cfg.lr);
+    let mut exec = BatchExecutor::new(&*model, cfg.threads);
+    let mut order: Vec<usize> = (0..n_train).collect();
+    let mut history = Vec::with_capacity(cfg.epochs);
+    let mut guard = Guardian::new(res);
+    let start = guard.begin(model, &mut opt, &mut rng, &mut history)?;
+    let mut epoch = start.epoch;
+    let mut step = start.step;
+    'epochs: while epoch < cfg.epochs {
+        guard.maybe_kill(epoch);
+        let _epoch_span = snia_telemetry::span!("epoch", epoch = epoch);
+        let epoch_start = std::time::Instant::now();
+        // Reset to identity before shuffling: the epoch's permutation must
+        // be a pure function of the RNG stream position (which checkpoints
+        // capture) — a cumulative in-place shuffle would not survive resume.
+        for (i, o) in order.iter_mut().enumerate() {
+            *o = i;
+        }
+        order.shuffle(&mut rng);
+        let mut loss_sum = 0.0f64;
+        let mut acc_sum = 0.0f64;
+        let mut batches = 0usize;
+        for chunk in order.chunks(cfg.batch_size) {
+            let _batch_span = snia_telemetry::span!("batch", batch = batches, size = chunk.len());
+            let draws: Vec<u8> = chunk.iter().map(|_| task.draw(&mut rng)).collect();
+            let faults = &res.faults;
+            let stats = exec.step(model, chunk.len(), |model, range, scale| {
+                if range.start != 0 && faults.fire_panic_worker(epoch) {
+                    panic!("SNIA_FAULT: injected worker panic");
+                }
+                task.shard(model, &chunk[range.clone()], &draws[range], scale)
+            });
+            step += 1;
+            let mut diverged = guard.check_loss(step, stats.loss).err();
+            if diverged.is_none() && guard.watchdog_active() {
+                diverged = guard
+                    .check_grad_norm(step, grad_norm(&model.params()))
+                    .err();
+            }
+            if let Some(reason) = diverged {
+                match guard.rollback(model, &mut opt, &mut rng, &mut history)? {
+                    Some(point) => {
+                        epoch = point.epoch;
+                        step = point.step;
+                        continue 'epochs;
+                    }
+                    None => {
+                        return Err(TrainError::Diverged {
+                            model: T::NAME,
+                            epoch,
+                            reason,
+                        })
+                    }
+                }
+            }
+            opt.step(&mut model.params_mut());
+            loss_sum += stats.loss;
+            acc_sum += stats.correct as f64 / stats.samples as f64;
+            batches += 1;
+        }
+        record_epoch_rate(order.len(), batches, epoch_start);
+        let (val_loss, train_acc, val_acc) = task.evaluate(model, acc_sum / batches as f64);
+        let rec = TrainRecord {
+            epoch,
+            train_loss: loss_sum / batches as f64,
+            val_loss,
+            train_acc,
+            val_acc,
+        };
+        snia_telemetry::record("train_epoch", &rec);
+        history.push(rec);
+        guard.epoch_end(model, &opt, &rng, epoch, step, &history)?;
+        epoch += 1;
+    }
+    Ok(history)
+}
+
+/// Runs a training-mode forward pass under the loop's `nn.forward_ns`
+/// timer; every task's [`Task::shard`] goes through it.
+fn timed_forward(forward: impl FnOnce() -> Tensor) -> Tensor {
+    let _t = snia_telemetry::timer("nn.forward_ns");
+    forward()
+}
+
+/// Per-epoch throughput bookkeeping: the `train.samples_per_sec` gauge
+/// (latest epoch, emitted to sinks) and histogram (distribution over
+/// epochs), plus the batch counter.
+fn record_epoch_rate(samples: usize, batches: usize, epoch_start: std::time::Instant) {
+    if !snia_telemetry::enabled() {
+        return;
+    }
+    snia_telemetry::counter_add("train.batches_total", batches as u64);
+    let secs = epoch_start.elapsed().as_secs_f64();
+    if secs > 0.0 {
+        let rate = samples as f64 / secs;
+        snia_telemetry::gauge_set("train.samples_per_sec", rate);
+        snia_telemetry::observe("train.samples_per_sec", rate);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -226,10 +410,8 @@ pub fn train_flux_cnn(
     val_refs: &[(usize, usize)],
     cfg: &FluxTrainConfig,
 ) -> Vec<TrainRecord> {
-    match train_flux_cnn_resilient(cnn, ds, train_refs, val_refs, cfg, &Resilience::disabled()) {
-        Ok(history) => history,
-        Err(e) => panic!("{e}"),
-    }
+    train_flux_cnn_resilient(cnn, ds, train_refs, val_refs, cfg, &Resilience::disabled())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`train_flux_cnn`] under a [`Resilience`] policy: checkpoint/resume,
@@ -250,128 +432,71 @@ pub fn train_flux_cnn_resilient(
     cfg: &FluxTrainConfig,
     res: &Resilience,
 ) -> Result<Vec<TrainRecord>, TrainError> {
-    if train_refs.is_empty() || val_refs.is_empty() {
-        return Err(TrainError::EmptySplit { what: "flux pairs" });
-    }
-    if cfg.epochs == 0 {
-        return Ok(Vec::new());
-    }
-    let _fit = snia_telemetry::span!("fit", model = "flux_cnn", epochs = cfg.epochs);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut opt = Adam::new(cfg.lr);
-    let mut exec = BatchExecutor::new(&*cnn, cfg.threads);
-    let mut order: Vec<usize> = (0..train_refs.len()).collect();
-    let mut history = Vec::with_capacity(cfg.epochs);
-    let mut guard = Guardian::new(res);
-    let start = guard.begin(cnn, &mut opt, &mut rng, &mut history)?;
-    let mut epoch = start.epoch;
-    let mut step = start.step;
-    'epochs: while epoch < cfg.epochs {
-        guard.maybe_kill(epoch);
-        let _epoch_span = snia_telemetry::span!("epoch", epoch = epoch);
-        let epoch_start = std::time::Instant::now();
-        // Reset to identity before shuffling: the epoch's permutation must
-        // be a pure function of the RNG stream position (which checkpoints
-        // capture) — a cumulative in-place shuffle would not survive resume.
-        for (i, o) in order.iter_mut().enumerate() {
-            *o = i;
-        }
-        order.shuffle(&mut rng);
-        let mut loss_sum = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
-            let _batch_span = snia_telemetry::span!("batch", batch = batches, size = chunk.len());
-            let refs: Vec<(usize, usize)> = chunk.iter().map(|&i| train_refs[i]).collect();
-            // Augmentation codes are drawn on the main RNG before sharding,
-            // so the stream is identical for every thread count.
-            let codes: Vec<u8> = if cfg.augment {
-                (0..refs.len()).map(|_| rng.gen_range(0..8)).collect()
-            } else {
-                Vec::new()
-            };
-            let faults = &res.faults;
-            let stats = exec.step(cnn, refs.len(), |model, range, scale| {
-                if range.start != 0 && faults.fire_panic_worker(epoch) {
-                    panic!("SNIA_FAULT: injected worker panic");
-                }
-                let shard = &refs[range.clone()];
-                let (mut x, t) = render_flux_batch(ds, shard, cfg.crop);
-                if cfg.augment {
-                    let px = cfg.crop * cfg.crop;
-                    for (i, &code) in codes[range].iter().enumerate() {
-                        crate::input::d4_transform(
-                            &mut x.data_mut()[i * px..(i + 1) * px],
-                            cfg.crop,
-                            code,
-                        );
-                    }
-                }
-                let y = {
-                    let _t = snia_telemetry::timer("nn.forward_ns");
-                    model.forward(&x, Mode::Train)
-                };
-                let (loss, mut grad) = mse_loss(&y, &t);
-                if scale != 1.0 {
-                    grad = &grad * scale;
-                }
-                model.backward(&grad);
-                ShardStats::regression(f64::from(loss), shard.len())
-            });
-            step += 1;
-            let mut diverged = guard.check_loss(step, stats.loss).err();
-            if diverged.is_none() && guard.watchdog_active() {
-                diverged = guard.check_grad_norm(step, grad_norm(&cnn.params())).err();
-            }
-            if let Some(reason) = diverged {
-                match guard.rollback(cnn, &mut opt, &mut rng, &mut history)? {
-                    Some(point) => {
-                        epoch = point.epoch;
-                        step = point.step;
-                        continue 'epochs;
-                    }
-                    None => {
-                        return Err(TrainError::Diverged {
-                            model: "flux_cnn",
-                            epoch,
-                            reason,
-                        })
-                    }
-                }
-            }
-            opt.step(&mut cnn.params_mut());
-            loss_sum += stats.loss;
-            batches += 1;
-        }
-        record_epoch_rate(order.len(), batches, epoch_start);
-        let val_loss = flux_loss(cnn, ds, val_refs, cfg.crop, cfg.batch_size);
-        let rec = TrainRecord {
-            epoch,
-            train_loss: loss_sum / batches as f64,
-            val_loss,
-            train_acc: f64::NAN,
-            val_acc: f64::NAN,
-        };
-        snia_telemetry::record("train_epoch", &rec);
-        history.push(rec);
-        guard.epoch_end(cnn, &opt, &rng, epoch, step, &history)?;
-        epoch += 1;
-    }
-    Ok(history)
+    let task = FluxTask {
+        ds,
+        train: train_refs,
+        val: val_refs,
+        cfg,
+    };
+    let schedule = ClassifierTrainConfig {
+        epochs: cfg.epochs,
+        batch_size: cfg.batch_size,
+        lr: cfg.lr,
+        seed: cfg.seed,
+        threads: cfg.threads,
+    };
+    fit(&task, cnn, &schedule, res)
 }
 
-/// Per-epoch throughput bookkeeping shared by the three training loops:
-/// the `train.samples_per_sec` gauge (latest epoch, emitted to sinks) and
-/// histogram (distribution over epochs), plus the batch counter.
-fn record_epoch_rate(samples: usize, batches: usize, epoch_start: std::time::Instant) {
-    if !snia_telemetry::enabled() {
-        return;
+/// Magnitude regression on rendered stamps, with optional D4 augmentation.
+struct FluxTask<'a> {
+    ds: &'a Dataset,
+    train: &'a [(usize, usize)],
+    val: &'a [(usize, usize)],
+    cfg: &'a FluxTrainConfig,
+}
+
+impl Task for FluxTask<'_> {
+    type Model = FluxCnn;
+    const NAME: &'static str = "flux_cnn";
+    const EXAMPLES: &'static str = "flux pairs";
+
+    fn sizes(&self) -> (usize, usize) {
+        (self.train.len(), self.val.len())
     }
-    snia_telemetry::counter_add("train.batches_total", batches as u64);
-    let secs = epoch_start.elapsed().as_secs_f64();
-    if secs > 0.0 {
-        let rate = samples as f64 / secs;
-        snia_telemetry::gauge_set("train.samples_per_sec", rate);
-        snia_telemetry::observe("train.samples_per_sec", rate);
+
+    fn draw(&self, rng: &mut StdRng) -> u8 {
+        if self.cfg.augment {
+            rng.gen_range(0..8)
+        } else {
+            0
+        }
+    }
+
+    fn shard(
+        &self,
+        model: &mut FluxCnn,
+        examples: &[usize],
+        draws: &[u8],
+        scale: f32,
+    ) -> ShardStats {
+        let refs: Vec<(usize, usize)> = examples.iter().map(|&i| self.train[i]).collect();
+        let crop = self.cfg.crop;
+        let (mut x, t) = render_flux_batch(self.ds, &refs, crop);
+        if self.cfg.augment {
+            for (image, &code) in x.data_mut().chunks_mut(crop * crop).zip(draws) {
+                crate::input::d4_transform(image, crop, code);
+            }
+        }
+        let y = timed_forward(|| model.forward(&x, Mode::Train));
+        let (loss, grad) = mse_loss(&y, &t);
+        model.backward(&scaled(grad, scale));
+        ShardStats::regression(f64::from(loss), examples.len())
+    }
+
+    fn evaluate(&self, model: &mut FluxCnn, _: f64) -> (f64, f64, f64) {
+        let val_loss = flux_loss(model, self.ds, self.val, self.cfg.crop, self.cfg.batch_size);
+        (val_loss, f64::NAN, f64::NAN)
     }
 }
 
@@ -509,22 +634,16 @@ pub fn train_classifier(
     val: (&Tensor, &Tensor),
     cfg: &ClassifierTrainConfig,
 ) -> Vec<TrainRecord> {
-    match train_classifier_resilient(clf, train, val, cfg, &Resilience::disabled()) {
-        Ok(history) => history,
-        Err(e) => panic!("{e}"),
-    }
+    train_classifier_resilient(clf, train, val, cfg, &Resilience::disabled())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`train_classifier`] under a [`Resilience`] policy: checkpoint/resume,
-/// divergence rollback and fault injection. With
-/// [`Resilience::disabled`] the behaviour (and the RNG stream) is
-/// bit-identical to the plain loop.
+/// divergence rollback and fault injection.
 ///
 /// # Errors
 ///
-/// Returns [`TrainError::EmptySplit`] on empty inputs,
-/// [`TrainError::Checkpoint`] on checkpoint I/O or decode failures, and
-/// [`TrainError::Diverged`] when the watchdog's retry budget runs out.
+/// As [`train_flux_cnn_resilient`].
 pub fn train_classifier_resilient(
     clf: &mut LightCurveClassifier,
     train: (&Tensor, &Tensor),
@@ -532,115 +651,54 @@ pub fn train_classifier_resilient(
     cfg: &ClassifierTrainConfig,
     res: &Resilience,
 ) -> Result<Vec<TrainRecord>, TrainError> {
-    let (x_train, t_train) = train;
-    let (x_val, t_val) = val;
-    if x_train.shape()[0] == 0 || x_val.shape()[0] == 0 {
-        return Err(TrainError::EmptySplit {
-            what: "classifier examples",
-        });
+    fit(&ClassifierTask { train, val }, clf, cfg, res)
+}
+
+/// Binary classification of feature rows.
+struct ClassifierTask<'a> {
+    train: (&'a Tensor, &'a Tensor),
+    val: (&'a Tensor, &'a Tensor),
+}
+
+impl Task for ClassifierTask<'_> {
+    type Model = LightCurveClassifier;
+    const NAME: &'static str = "classifier";
+    const EXAMPLES: &'static str = "classifier examples";
+
+    fn sizes(&self) -> (usize, usize) {
+        (self.train.0.shape()[0], self.val.0.shape()[0])
     }
-    if cfg.epochs == 0 {
-        return Ok(Vec::new());
+
+    fn shard(
+        &self,
+        model: &mut LightCurveClassifier,
+        examples: &[usize],
+        _: &[u8],
+        scale: f32,
+    ) -> ShardStats {
+        let (x, t) = (
+            rows_of(self.train.0, examples),
+            rows_of(self.train.1, examples),
+        );
+        let y = timed_forward(|| model.forward(&x, Mode::Train));
+        let (loss, grad) = bce_with_logits(&y, &t);
+        model.backward(&scaled(grad, scale));
+        ShardStats::regression(f64::from(loss), examples.len())
     }
-    let _fit = snia_telemetry::span!("fit", model = "classifier", epochs = cfg.epochs);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut opt = Adam::new(cfg.lr);
-    let mut exec = BatchExecutor::new(&*clf, cfg.threads);
-    let n = x_train.shape()[0];
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut history = Vec::with_capacity(cfg.epochs);
-    let mut guard = Guardian::new(res);
-    let start = guard.begin(clf, &mut opt, &mut rng, &mut history)?;
-    let mut epoch = start.epoch;
-    let mut step = start.step;
-    'epochs: while epoch < cfg.epochs {
-        guard.maybe_kill(epoch);
-        let _epoch_span = snia_telemetry::span!("epoch", epoch = epoch);
-        let epoch_start = std::time::Instant::now();
-        // Reset to identity before shuffling: the epoch's permutation must
-        // be a pure function of the RNG stream position (which checkpoints
-        // capture) — a cumulative in-place shuffle would not survive resume.
-        for (i, o) in order.iter_mut().enumerate() {
-            *o = i;
-        }
-        order.shuffle(&mut rng);
-        let mut loss_sum = 0.0;
-        let mut batches = 0;
-        for chunk in order.chunks(cfg.batch_size) {
-            let _batch_span = snia_telemetry::span!("batch", batch = batches, size = chunk.len());
-            let faults = &res.faults;
-            let stats = exec.step(clf, chunk.len(), |model, range, scale| {
-                if range.start != 0 && faults.fire_panic_worker(epoch) {
-                    panic!("SNIA_FAULT: injected worker panic");
-                }
-                let idx = &chunk[range];
-                let xb = rows_of(x_train, idx);
-                let tb = rows_of(t_train, idx);
-                let y = {
-                    let _t = snia_telemetry::timer("nn.forward_ns");
-                    model.forward(&xb, Mode::Train)
-                };
-                let (loss, mut grad) = bce_with_logits(&y, &tb);
-                if scale != 1.0 {
-                    grad = &grad * scale;
-                }
-                model.backward(&grad);
-                ShardStats::regression(f64::from(loss), idx.len())
-            });
-            step += 1;
-            let mut diverged = guard.check_loss(step, stats.loss).err();
-            if diverged.is_none() && guard.watchdog_active() {
-                diverged = guard.check_grad_norm(step, grad_norm(&clf.params())).err();
-            }
-            if let Some(reason) = diverged {
-                match guard.rollback(clf, &mut opt, &mut rng, &mut history)? {
-                    Some(point) => {
-                        epoch = point.epoch;
-                        step = point.step;
-                        continue 'epochs;
-                    }
-                    None => {
-                        return Err(TrainError::Diverged {
-                            model: "classifier",
-                            epoch,
-                            reason,
-                        })
-                    }
-                }
-            }
-            opt.step(&mut clf.params_mut());
-            loss_sum += stats.loss;
-            batches += 1;
-        }
-        record_epoch_rate(order.len(), batches, epoch_start);
-        let (val_loss, val_acc) = classifier_loss_acc(clf, x_val, t_val);
-        let (_, train_acc) = classifier_loss_acc(clf, x_train, t_train);
-        let rec = TrainRecord {
-            epoch,
-            train_loss: loss_sum / batches as f64,
-            val_loss,
-            train_acc,
-            val_acc,
-        };
-        snia_telemetry::record("train_epoch", &rec);
-        history.push(rec);
-        guard.epoch_end(clf, &opt, &rng, epoch, step, &history)?;
-        epoch += 1;
+
+    /// Training accuracy comes from a full evaluation-mode pass.
+    fn evaluate(&self, model: &mut LightCurveClassifier, _: f64) -> (f64, f64, f64) {
+        let (val_loss, val_acc) = classifier_loss_acc(model, self.val.0, self.val.1);
+        let (_, train_acc) = classifier_loss_acc(model, self.train.0, self.train.1);
+        (val_loss, train_acc, val_acc)
     }
-    Ok(history)
 }
 
 /// BCE loss and 0.5-threshold accuracy of the classifier on a feature set.
 pub fn classifier_loss_acc(clf: &mut LightCurveClassifier, x: &Tensor, t: &Tensor) -> (f64, f64) {
     let y = clf.forward(x, Mode::Eval);
     let (loss, _) = bce_with_logits(&y, t);
-    let probs = sigmoid_probs(&y);
-    let correct = probs
-        .data()
-        .iter()
-        .zip(t.data())
-        .filter(|(&p, &tv)| (p >= 0.5) == (tv >= 0.5))
-        .count();
+    let correct = correct_count(&y, t);
     (f64::from(loss), correct as f64 / t.len() as f64)
 }
 
@@ -727,22 +785,16 @@ pub fn train_joint(
     val_ex: &[JointExample],
     cfg: &ClassifierTrainConfig,
 ) -> Vec<TrainRecord> {
-    match train_joint_resilient(jm, ds, train_ex, val_ex, cfg, &Resilience::disabled()) {
-        Ok(history) => history,
-        Err(e) => panic!("{e}"),
-    }
+    train_joint_resilient(jm, ds, train_ex, val_ex, cfg, &Resilience::disabled())
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`train_joint`] under a [`Resilience`] policy: checkpoint/resume,
-/// divergence rollback and fault injection. With
-/// [`Resilience::disabled`] the behaviour (and the RNG stream) is
-/// bit-identical to the plain loop.
+/// divergence rollback and fault injection.
 ///
 /// # Errors
 ///
-/// Returns [`TrainError::EmptySplit`] on empty inputs,
-/// [`TrainError::Checkpoint`] on checkpoint I/O or decode failures, and
-/// [`TrainError::Diverged`] when the watchdog's retry budget runs out.
+/// As [`train_flux_cnn_resilient`].
 pub fn train_joint_resilient(
     jm: &mut JointModel,
     ds: &Dataset,
@@ -751,112 +803,58 @@ pub fn train_joint_resilient(
     cfg: &ClassifierTrainConfig,
     res: &Resilience,
 ) -> Result<Vec<TrainRecord>, TrainError> {
-    if train_ex.is_empty() || val_ex.is_empty() {
-        return Err(TrainError::EmptySplit {
-            what: "joint examples",
-        });
+    let task = JointTask {
+        ds,
+        train: train_ex,
+        val: val_ex,
+        crop: jm.crop(),
+        batch_size: cfg.batch_size,
+    };
+    fit(&task, jm, cfg, res)
+}
+
+/// End-to-end classification of rendered single-epoch cutouts.
+struct JointTask<'a> {
+    ds: &'a Dataset,
+    train: &'a [JointExample],
+    val: &'a [JointExample],
+    crop: usize,
+    batch_size: usize,
+}
+
+impl Task for JointTask<'_> {
+    type Model = JointModel;
+    const NAME: &'static str = "joint";
+    const EXAMPLES: &'static str = "joint examples";
+
+    fn sizes(&self) -> (usize, usize) {
+        (self.train.len(), self.val.len())
     }
-    if cfg.epochs == 0 {
-        return Ok(Vec::new());
-    }
-    let _fit = snia_telemetry::span!("fit", model = "joint", epochs = cfg.epochs);
-    let crop = jm.crop();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut opt = Adam::new(cfg.lr);
-    let mut exec = BatchExecutor::new(&*jm, cfg.threads);
-    let mut order: Vec<usize> = (0..train_ex.len()).collect();
-    let mut history = Vec::with_capacity(cfg.epochs);
-    let mut guard = Guardian::new(res);
-    let start = guard.begin(jm, &mut opt, &mut rng, &mut history)?;
-    let mut epoch = start.epoch;
-    let mut step = start.step;
-    'epochs: while epoch < cfg.epochs {
-        guard.maybe_kill(epoch);
-        let _epoch_span = snia_telemetry::span!("epoch", epoch = epoch);
-        let epoch_start = std::time::Instant::now();
-        // Reset to identity before shuffling: the epoch's permutation must
-        // be a pure function of the RNG stream position (which checkpoints
-        // capture) — a cumulative in-place shuffle would not survive resume.
-        for (i, o) in order.iter_mut().enumerate() {
-            *o = i;
+
+    fn shard(
+        &self,
+        model: &mut JointModel,
+        examples: &[usize],
+        _: &[u8],
+        scale: f32,
+    ) -> ShardStats {
+        let exs: Vec<JointExample> = examples.iter().map(|&i| self.train[i]).collect();
+        let (images, dates, targets, _) = joint_batch(self.ds, &exs, self.crop);
+        let y = timed_forward(|| model.forward(&images, &dates, Mode::Train));
+        let (loss, grad) = bce_with_logits(&y, &targets);
+        model.backward(&scaled(grad, scale));
+        ShardStats {
+            loss: f64::from(loss),
+            correct: correct_count(&y, &targets),
+            samples: examples.len(),
         }
-        order.shuffle(&mut rng);
-        let mut loss_sum = 0.0;
-        let mut acc_sum = 0.0;
-        let mut batches = 0;
-        for chunk in order.chunks(cfg.batch_size) {
-            let _batch_span = snia_telemetry::span!("batch", batch = batches, size = chunk.len());
-            let exs: Vec<JointExample> = chunk.iter().map(|&i| train_ex[i]).collect();
-            let faults = &res.faults;
-            let stats = exec.step(jm, exs.len(), |model, range, scale| {
-                if range.start != 0 && faults.fire_panic_worker(epoch) {
-                    panic!("SNIA_FAULT: injected worker panic");
-                }
-                let shard = &exs[range];
-                let (images, dates, targets, _) = joint_batch(ds, shard, crop);
-                let y = {
-                    let _t = snia_telemetry::timer("nn.forward_ns");
-                    model.forward(&images, &dates, Mode::Train)
-                };
-                let (loss, mut grad) = bce_with_logits(&y, &targets);
-                if scale != 1.0 {
-                    grad = &grad * scale;
-                }
-                model.backward(&grad);
-                let probs = sigmoid_probs(&y);
-                let correct = probs
-                    .data()
-                    .iter()
-                    .zip(targets.data())
-                    .filter(|(&p, &t)| (p >= 0.5) == (t >= 0.5))
-                    .count();
-                ShardStats {
-                    loss: f64::from(loss),
-                    correct,
-                    samples: shard.len(),
-                }
-            });
-            step += 1;
-            let mut diverged = guard.check_loss(step, stats.loss).err();
-            if diverged.is_none() && guard.watchdog_active() {
-                diverged = guard.check_grad_norm(step, grad_norm(&jm.params())).err();
-            }
-            if let Some(reason) = diverged {
-                match guard.rollback(jm, &mut opt, &mut rng, &mut history)? {
-                    Some(point) => {
-                        epoch = point.epoch;
-                        step = point.step;
-                        continue 'epochs;
-                    }
-                    None => {
-                        return Err(TrainError::Diverged {
-                            model: "joint",
-                            epoch,
-                            reason,
-                        })
-                    }
-                }
-            }
-            opt.step(&mut jm.params_mut());
-            loss_sum += stats.loss;
-            acc_sum += stats.correct as f64 / stats.samples as f64;
-            batches += 1;
-        }
-        record_epoch_rate(order.len(), batches, epoch_start);
-        let (val_loss, val_acc) = joint_loss_acc(jm, ds, val_ex, cfg.batch_size);
-        let rec = TrainRecord {
-            epoch,
-            train_loss: loss_sum / batches as f64,
-            val_loss,
-            train_acc: acc_sum / batches as f64,
-            val_acc,
-        };
-        snia_telemetry::record("train_epoch", &rec);
-        history.push(rec);
-        guard.epoch_end(jm, &opt, &rng, epoch, step, &history)?;
-        epoch += 1;
     }
-    Ok(history)
+
+    /// Training accuracy is the mean over the epoch's minibatches.
+    fn evaluate(&self, model: &mut JointModel, batch_acc: f64) -> (f64, f64, f64) {
+        let (val_loss, val_acc) = joint_loss_acc(model, self.ds, self.val, self.batch_size);
+        (val_loss, batch_acc, val_acc)
+    }
 }
 
 /// BCE loss and accuracy of the joint model over examples.
@@ -875,13 +873,7 @@ pub fn joint_loss_acc(
         let y = jm.forward(&images, &dates, Mode::Eval);
         let (loss, _) = bce_with_logits(&y, &targets);
         loss_sum += f64::from(loss) * chunk.len() as f64;
-        let probs = sigmoid_probs(&y);
-        correct += probs
-            .data()
-            .iter()
-            .zip(targets.data())
-            .filter(|(&p, &t)| (p >= 0.5) == (t >= 0.5))
-            .count();
+        correct += correct_count(&y, &targets);
         n += chunk.len();
     }
     (loss_sum / n as f64, correct as f64 / n as f64)
@@ -905,12 +897,6 @@ pub fn joint_scores(
         labels.extend(chunk_labels);
     }
     (scores, labels)
-}
-
-/// Pre-training target check: the CNN's regression target for a flux pair
-/// (re-exported for the bench binaries' diagnostics).
-pub fn regression_target_of(pair_true_mag: f64) -> f32 {
-    mag_to_target(pair_true_mag)
 }
 
 #[cfg(test)]
@@ -1073,22 +1059,17 @@ mod tests {
         let idx: Vec<usize> = (0..16).collect();
         let (x, t, _) = feature_matrix(&ds, &idx, 4);
         let chunk: Vec<usize> = (0..16).collect();
+        let task = ClassifierTask {
+            train: (&x, &t),
+            val: (&x, &t),
+        };
         let mut grads: Vec<Vec<f32>> = Vec::new();
         for threads in [1usize, 4] {
             let mut rng = StdRng::seed_from_u64(11);
             let mut clf = LightCurveClassifier::new(4, 16, &mut rng);
             let mut exec = BatchExecutor::new(&clf, threads);
             let stats = exec.step(&mut clf, chunk.len(), |model, range, scale| {
-                let idx = &chunk[range];
-                let xb = rows_of(&x, idx);
-                let tb = rows_of(&t, idx);
-                let y = model.forward(&xb, Mode::Train);
-                let (loss, mut grad) = bce_with_logits(&y, &tb);
-                if scale != 1.0 {
-                    grad = &grad * scale;
-                }
-                model.backward(&grad);
-                ShardStats::regression(f64::from(loss), idx.len())
+                task.shard(model, &chunk[range], &[], scale)
             });
             assert_eq!(stats.samples, chunk.len());
             grads.push(

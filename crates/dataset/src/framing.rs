@@ -1,11 +1,10 @@
 //! CRC-framed byte envelopes shared by every on-disk artefact.
 //!
-//! The canonical implementation of the `SNIA-*` single-line header format
-//! lives here so both the render cache (this crate) and the higher-level
-//! consumers — `snia_core::resilience` checkpoints (`SNIA-CKPT`) and
-//! `snia-serve` model bundles (`SNIA-BUNDLE`) — validate corruption
-//! identically. `snia_core::resilience::encode_framed`/`decode_framed`
-//! delegate here, so the wire format cannot drift between crates.
+//! The one implementation of the `SNIA-*` single-line header format lives
+//! here. The render cache (this crate), `snia_core::resilience`
+//! checkpoints (`SNIA-CKPT`) and `snia-serve` model bundles
+//! (`SNIA-BUNDLE`) all call it directly, so they validate corruption
+//! identically and the wire format cannot drift between crates.
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) of `bytes`.
 ///

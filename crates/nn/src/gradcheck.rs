@@ -47,28 +47,9 @@ fn rel_err(a: f32, n: f32) -> f32 {
 ///
 /// Panics (test-style, with a diagnostic message) if any gradient element
 /// disagrees beyond `tol`, or if the layer output is non-finite.
-pub fn check_layer_gradients(layer: Box<dyn Layer>, x: &Tensor, eps: f32, tol: f32) {
-    check_layer_gradients_in(layer, x, Mode::Train, eps, tol);
-}
-
-/// [`check_layer_gradients`] with an explicit forward [`Mode`] — lets
-/// tests pin the evaluation-mode path of layers whose behaviour differs
-/// between training and inference (dropout, batch-norm). The layer must
-/// be deterministic in the chosen mode (the check re-runs forward for
-/// every perturbed element).
-///
-/// # Panics
-///
-/// As [`check_layer_gradients`].
-pub fn check_layer_gradients_in(
-    mut layer: Box<dyn Layer>,
-    x: &Tensor,
-    mode: Mode,
-    eps: f32,
-    tol: f32,
-) {
+pub fn check_layer_gradients(mut layer: Box<dyn Layer>, x: &Tensor, eps: f32, tol: f32) {
     // Analytic pass.
-    let y = layer.forward(x, mode);
+    let y = layer.forward(x, Mode::Train);
     assert!(y.all_finite(), "non-finite forward output");
     let coeffs = readout_coeffs(y.len());
     let grad_out = Tensor::from_vec(y.shape().to_vec(), coeffs.clone());
@@ -83,9 +64,9 @@ pub fn check_layer_gradients_in(
     for i in 0..x.len() {
         let orig = xp.data()[i];
         xp.data_mut()[i] = orig + eps;
-        let lp = loss_of(&layer.forward(&xp, mode), &coeffs);
+        let lp = loss_of(&layer.forward(&xp, Mode::Train), &coeffs);
         xp.data_mut()[i] = orig - eps;
-        let lm = loss_of(&layer.forward(&xp, mode), &coeffs);
+        let lm = loss_of(&layer.forward(&xp, Mode::Train), &coeffs);
         xp.data_mut()[i] = orig;
         let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
         let analytic = grad_in.data()[i];
@@ -110,9 +91,9 @@ pub fn check_layer_gradients_in(
         for i in 0..pgrad.len() {
             let orig = layer.params_mut()[pi].value.data()[i];
             layer.params_mut()[pi].value.data_mut()[i] = orig + eps;
-            let lp = loss_of(&layer.forward(x, mode), &coeffs);
+            let lp = loss_of(&layer.forward(x, Mode::Train), &coeffs);
             layer.params_mut()[pi].value.data_mut()[i] = orig - eps;
-            let lm = loss_of(&layer.forward(x, mode), &coeffs);
+            let lm = loss_of(&layer.forward(x, Mode::Train), &coeffs);
             layer.params_mut()[pi].value.data_mut()[i] = orig;
             let numeric = ((lp - lm) / (2.0 * eps as f64)) as f32;
             let analytic = pgrad.data()[i];

@@ -7,13 +7,13 @@ use crate::tensor::Tensor;
 /// Whether a forward pass is part of training or evaluation.
 ///
 /// Batch normalisation uses batch statistics in [`Mode::Train`] and running
-/// statistics in [`Mode::Eval`]; dropout is only active in [`Mode::Train`].
+/// statistics in [`Mode::Eval`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
-    /// Training: batch statistics, dropout active, caches retained for
+    /// Training: batch statistics, caches retained for
     /// the backward pass.
     Train,
-    /// Evaluation: running statistics, dropout inactive.
+    /// Evaluation: running statistics.
     Eval,
 }
 

@@ -1,4 +1,4 @@
-//! Parameter-free activation layers: [`Relu`], [`Sigmoid`], [`Tanh`].
+//! The parameter-free [`Relu`] layer and the scalar [`sigmoid_scalar`].
 
 use crate::layer::{Layer, Mode};
 use crate::tensor::Tensor;
@@ -53,76 +53,6 @@ pub fn sigmoid_scalar(x: f32) -> f32 {
     }
 }
 
-/// Logistic sigmoid: `y = 1 / (1 + e^{-x})`.
-#[derive(Debug, Default)]
-pub struct Sigmoid {
-    cache_output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid activation.
-    pub fn new() -> Self {
-        Sigmoid { cache_output: None }
-    }
-}
-
-impl Layer for Sigmoid {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let out = input.map(sigmoid_scalar);
-        if mode == Mode::Train {
-            self.cache_output = Some(out.clone());
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let out = self
-            .cache_output
-            .take()
-            .expect("Sigmoid::backward called without a training forward pass");
-        out.zip(grad_output, |y, g| g * y * (1.0 - y))
-    }
-
-    fn name(&self) -> &'static str {
-        "Sigmoid"
-    }
-}
-
-/// Hyperbolic tangent activation.
-#[derive(Debug, Default)]
-pub struct Tanh {
-    cache_output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh activation.
-    pub fn new() -> Self {
-        Tanh { cache_output: None }
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let out = input.map(f32::tanh);
-        if mode == Mode::Train {
-            self.cache_output = Some(out.clone());
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let out = self
-            .cache_output
-            .take()
-            .expect("Tanh::backward called without a training forward pass");
-        out.zip(grad_output, |y, g| g * (1.0 - y * y))
-    }
-
-    fn name(&self) -> &'static str {
-        "Tanh"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,22 +70,15 @@ mod tests {
     }
 
     #[test]
-    fn sigmoid_is_bounded_and_stable() {
-        let mut s = Sigmoid::new();
-        let x = Tensor::from_slice(&[-100.0, -1.0, 0.0, 1.0, 100.0]);
-        let y = s.forward(&x, Mode::Eval);
-        assert!(y.all_finite());
-        assert!((y.data()[2] - 0.5).abs() < 1e-6);
-        assert!(y.data()[0] >= 0.0 && y.data()[4] <= 1.0);
-        assert!(y.data()[0] < 1e-6 && y.data()[4] > 1.0 - 1e-6);
-    }
-
-    #[test]
-    fn tanh_is_odd() {
-        let mut t = Tanh::new();
-        let x = Tensor::from_slice(&[-0.7, 0.7]);
-        let y = t.forward(&x, Mode::Eval);
-        assert!((y.data()[0] + y.data()[1]).abs() < 1e-6);
+    fn sigmoid_scalar_is_bounded_and_stable() {
+        let y: Vec<f32> = [-100.0, -1.0, 0.0, 1.0, 100.0]
+            .into_iter()
+            .map(sigmoid_scalar)
+            .collect();
+        assert!(y.iter().all(|v| v.is_finite()));
+        assert!((y[2] - 0.5).abs() < 1e-6);
+        assert!(y[0] >= 0.0 && y[4] <= 1.0);
+        assert!(y[0] < 1e-6 && y[4] > 1.0 - 1e-6);
     }
 
     #[test]
@@ -170,19 +93,5 @@ mod tests {
             }
         });
         check_layer_gradients(Box::new(Relu::new()), &x, 1e-3, 2e-2);
-    }
-
-    #[test]
-    fn sigmoid_gradcheck() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let x = init::randn_tensor(&mut rng, vec![3, 4], 1.5);
-        check_layer_gradients(Box::new(Sigmoid::new()), &x, 1e-2, 2e-2);
-    }
-
-    #[test]
-    fn tanh_gradcheck() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let x = init::randn_tensor(&mut rng, vec![3, 4], 1.0);
-        check_layer_gradients(Box::new(Tanh::new()), &x, 1e-2, 2e-2);
     }
 }

@@ -6,7 +6,6 @@
 mod activation;
 mod batchnorm;
 mod conv;
-mod dropout;
 mod flatten;
 mod gru;
 mod highway;
@@ -15,10 +14,9 @@ mod lstm;
 mod pool;
 mod prelu;
 
-pub use activation::{sigmoid_scalar, Relu, Sigmoid, Tanh};
+pub use activation::{sigmoid_scalar, Relu};
 pub use batchnorm::{BatchNorm, BatchNorm1d, BatchNorm2d};
 pub use conv::{Conv2d, ConvBackend, Padding};
-pub use dropout::Dropout;
 pub use flatten::Flatten;
 pub use gru::Gru;
 pub use highway::Highway;

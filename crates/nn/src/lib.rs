@@ -12,11 +12,11 @@
 //! * [`Layer`] — the forward/backward building-block trait, with
 //!   implementations for 2-D convolution, batch normalisation (1-D and 2-D),
 //!   parametric ReLU, max pooling, fully-connected layers, highway layers
-//!   (Srivastava et al. 2015), GRUs (for the Charnock-style baseline),
-//!   dropout and common activations.
+//!   (Srivastava et al. 2015), GRUs and LSTMs (for the Charnock-style
+//!   baseline) and ReLU.
 //! * [`Sequential`] — a container chaining layers into a network.
-//! * [`optim`] — SGD, SGD-with-momentum and Adam optimizers plus learning
-//!   rate schedules.
+//! * [`optim`] — the Adam optimizer, with a serialisable state for
+//!   checkpoints.
 //! * [`loss`] — MSE, binary cross-entropy (with logits) and softmax
 //!   cross-entropy, each returning the loss *and* the input gradient.
 //! * [`gradcheck`] — finite-difference gradient checking used throughout the
@@ -28,7 +28,7 @@
 //! use snia_nn::{Sequential, Tensor, Mode};
 //! use snia_nn::layers::{Linear, Relu};
 //! use snia_nn::loss::mse_loss;
-//! use snia_nn::optim::{Optimizer, Sgd};
+//! use snia_nn::optim::{Adam, Optimizer};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -39,7 +39,7 @@
 //!
 //! let x = Tensor::from_vec(vec![2, 2], vec![0.0, 1.0, 1.0, 0.0]);
 //! let t = Tensor::from_vec(vec![2, 1], vec![1.0, -1.0]);
-//! let mut opt = Sgd::new(0.1);
+//! let mut opt = Adam::new(0.01);
 //! for _ in 0..50 {
 //!     let y = net.forward(&x, Mode::Train);
 //!     let (loss, grad) = mse_loss(&y, &t);

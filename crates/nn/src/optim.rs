@@ -1,4 +1,4 @@
-//! Optimizers and learning-rate schedules.
+//! The Adam optimizer.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,24 +13,15 @@ use crate::layer::Param;
 pub enum OptimError {
     /// Learning rate not positive and finite.
     InvalidLearningRate(f32),
-    /// Momentum coefficient outside `[0, 1)`.
-    InvalidMomentum(f32),
     /// A beta coefficient outside `[0, 1)`.
     InvalidBeta(f32),
-    /// Weight decay outside `[0, 1)`.
-    InvalidWeightDecay(f32),
-    /// A non-positive schedule parameter (gamma or step interval).
-    InvalidSchedule,
 }
 
 impl std::fmt::Display for OptimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             OptimError::InvalidLearningRate(lr) => write!(f, "invalid learning rate {lr}"),
-            OptimError::InvalidMomentum(mu) => write!(f, "invalid momentum {mu}"),
             OptimError::InvalidBeta(b) => write!(f, "invalid beta {b}"),
-            OptimError::InvalidWeightDecay(wd) => write!(f, "invalid weight decay {wd}"),
-            OptimError::InvalidSchedule => write!(f, "invalid schedule parameters"),
         }
     }
 }
@@ -48,9 +39,9 @@ fn check_lr(lr: f32) -> Result<f32, OptimError> {
 /// An optimisation algorithm that updates parameters from their accumulated
 /// gradients.
 ///
-/// Stateful optimizers ([`Momentum`], [`Adam`]) key their per-parameter
-/// state by position in the `params` slice, so the same network must be
-/// passed in the same layer order on every step (which [`crate::Sequential`]
+/// Stateful optimizers ([`Adam`]) key their per-parameter state by
+/// position in the `params` slice, so the same network must be passed in
+/// the same layer order on every step (which [`crate::Sequential`]
 /// guarantees).
 pub trait Optimizer {
     /// Applies one update step. Does not zero gradients — call
@@ -60,117 +51,8 @@ pub trait Optimizer {
     /// The current learning rate.
     fn learning_rate(&self) -> f32;
 
-    /// Overrides the learning rate (used by schedules and fine-tuning).
+    /// Overrides the learning rate (used by fine-tuning).
     fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain stochastic gradient descent: `θ ← θ − lr·g`.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive and finite; [`Sgd::try_new`] reports
-    /// the same condition as an error.
-    pub fn new(lr: f32) -> Self {
-        Self::try_new(lr).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OptimError::InvalidLearningRate`] unless `lr` is positive
-    /// and finite.
-    pub fn try_new(lr: f32) -> Result<Self, OptimError> {
-        Ok(Sgd { lr: check_lr(lr)? })
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        for p in params.iter_mut() {
-            let lr = self.lr;
-            p.value.add_scaled(&p.grad, -lr);
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// SGD with classical momentum: `v ← μ·v + g; θ ← θ − lr·v`.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    lr: f32,
-    mu: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Momentum {
-    /// Creates a momentum optimizer (`mu` is typically 0.9).
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive `lr` or `mu` outside `[0, 1)`;
-    /// [`Momentum::try_new`] reports the same conditions as errors.
-    pub fn new(lr: f32, mu: f32) -> Self {
-        Self::try_new(lr, mu).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`OptimError`] on a bad learning rate or momentum.
-    pub fn try_new(lr: f32, mu: f32) -> Result<Self, OptimError> {
-        let lr = check_lr(lr)?;
-        if !(0.0..1.0).contains(&mu) {
-            return Err(OptimError::InvalidMomentum(mu));
-        }
-        Ok(Momentum {
-            lr,
-            mu,
-            velocity: Vec::new(),
-        })
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        if self.velocity.is_empty() {
-            self.velocity = params.iter().map(|p| vec![0.0; p.len()]).collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            params.len(),
-            "parameter list changed between Momentum steps"
-        );
-        for (p, v) in params.iter_mut().zip(&mut self.velocity) {
-            for ((vel, &g), val) in v.iter_mut().zip(p.grad.data()).zip(p.value.data_mut()) {
-                *vel = self.mu * *vel + g;
-                *val -= self.lr * *vel;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam (Kingma & Ba 2015) with bias correction.
@@ -215,7 +97,7 @@ impl Adam {
     /// Panics on a non-positive learning rate; [`Adam::try_new`] reports
     /// the same condition as an error.
     pub fn new(lr: f32) -> Self {
-        Self::with_betas(lr, 0.9, 0.999)
+        Self::try_new(lr).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible constructor with the canonical defaults.
@@ -226,16 +108,6 @@ impl Adam {
     /// and finite.
     pub fn try_new(lr: f32) -> Result<Self, OptimError> {
         Self::try_with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Creates Adam with explicit beta coefficients.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid hyper-parameters; [`Adam::try_with_betas`]
-    /// reports the same conditions as errors.
-    pub fn with_betas(lr: f32, beta1: f32, beta2: f32) -> Self {
-        Self::try_with_betas(lr, beta1, beta2).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible constructor with explicit beta coefficients.
@@ -338,133 +210,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Adam with decoupled weight decay (Loshchilov & Hutter 2019).
-///
-/// The decay is applied directly to the weights (`θ ← θ·(1 − lr·λ)`)
-/// rather than folded into the gradient, which keeps the adaptive moments
-/// clean — the variant that actually regularises under Adam.
-#[derive(Debug, Clone)]
-pub struct AdamW {
-    inner: Adam,
-    weight_decay: f32,
-}
-
-impl AdamW {
-    /// Creates AdamW with the canonical Adam defaults and the given
-    /// decoupled decay coefficient (typically 1e-4..1e-2).
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid hyper-parameters; [`AdamW::try_new`] reports the
-    /// same conditions as errors.
-    pub fn new(lr: f32, weight_decay: f32) -> Self {
-        Self::try_new(lr, weight_decay).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`OptimError`] on a bad learning rate or weight decay.
-    pub fn try_new(lr: f32, weight_decay: f32) -> Result<Self, OptimError> {
-        if !(0.0..1.0).contains(&weight_decay) {
-            return Err(OptimError::InvalidWeightDecay(weight_decay));
-        }
-        Ok(AdamW {
-            inner: Adam::try_new(lr)?,
-            weight_decay,
-        })
-    }
-
-    /// The decay coefficient.
-    pub fn weight_decay(&self) -> f32 {
-        self.weight_decay
-    }
-}
-
-impl Optimizer for AdamW {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        let shrink = 1.0 - self.inner.learning_rate() * self.weight_decay;
-        for p in params.iter_mut() {
-            p.value.scale_in_place(shrink);
-        }
-        self.inner.step(params);
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.inner.learning_rate()
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.inner.set_learning_rate(lr);
-    }
-}
-
-/// Step-decay learning-rate schedule: multiply the rate by `gamma` every
-/// `step_every` epochs.
-#[derive(Debug, Clone)]
-pub struct StepDecay {
-    base_lr: f32,
-    gamma: f32,
-    step_every: usize,
-}
-
-impl StepDecay {
-    /// Creates a step-decay schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive inputs; [`StepDecay::try_new`] reports the
-    /// same conditions as errors.
-    pub fn new(base_lr: f32, gamma: f32, step_every: usize) -> Self {
-        Self::try_new(base_lr, gamma, step_every).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`OptimError`] on non-positive inputs.
-    pub fn try_new(base_lr: f32, gamma: f32, step_every: usize) -> Result<Self, OptimError> {
-        let base_lr = check_lr(base_lr)?;
-        if !(gamma > 0.0 && gamma.is_finite() && step_every > 0) {
-            return Err(OptimError::InvalidSchedule);
-        }
-        Ok(StepDecay {
-            base_lr,
-            gamma,
-            step_every,
-        })
-    }
-
-    /// The learning rate for a (0-based) epoch.
-    pub fn lr_at(&self, epoch: usize) -> f32 {
-        self.base_lr * self.gamma.powi((epoch / self.step_every) as i32)
-    }
-
-    /// Applies the schedule to an optimizer for the given epoch.
-    pub fn apply(&self, opt: &mut dyn Optimizer, epoch: usize) {
-        opt.set_learning_rate(self.lr_at(epoch));
-    }
-}
-
-/// Clips the global L2 norm of all gradients to `max_norm`, returning the
-/// pre-clip norm. A no-op when the norm is already within bounds.
-pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
-    let total: f32 = params
-        .iter()
-        .map(|p| p.grad.data().iter().map(|g| g * g).sum::<f32>())
-        .sum::<f32>()
-        .sqrt();
-    if total > max_norm && total > 0.0 {
-        let scale = max_norm / total;
-        for p in params.iter_mut() {
-            p.grad.scale_in_place(scale);
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,103 +236,21 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let theta = run(Sgd::new(0.1), 100);
-        assert!((theta - 3.0).abs() < 1e-3, "theta {theta}");
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        let theta = run(Momentum::new(0.05, 0.9), 200);
-        assert!((theta - 3.0).abs() < 1e-2, "theta {theta}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let theta = run(Adam::new(0.1), 500);
         assert!((theta - 3.0).abs() < 1e-2, "theta {theta}");
     }
 
     #[test]
-    fn momentum_accelerates_past_sgd_early() {
-        // After few steps on an ill-conditioned slope, momentum has moved
-        // further than plain SGD with the same lr.
-        let sgd_theta = run(Sgd::new(0.01), 20);
-        let mom_theta = run(Momentum::new(0.01, 0.9), 20);
-        assert!(mom_theta > sgd_theta);
-    }
-
-    #[test]
-    fn adamw_converges_on_quadratic() {
-        let theta = run(AdamW::new(0.1, 1e-3), 500);
-        assert!((theta - 3.0).abs() < 0.1, "theta {theta}");
-    }
-
-    #[test]
-    fn adamw_decays_weights_without_gradient() {
-        // With zero gradient, AdamW still shrinks the parameter; plain Adam
-        // leaves it untouched.
-        let mut p = Param::new("w", Tensor::from_slice(&[1.0]));
-        let mut adamw = AdamW::new(0.1, 0.5);
-        adamw.step(&mut [&mut p]);
-        assert!(p.value.data()[0] < 1.0, "no decay applied");
-
-        let mut q = Param::new("w", Tensor::from_slice(&[1.0]));
-        let mut adam = Adam::new(0.1);
-        adam.step(&mut [&mut q]);
-        assert_eq!(q.value.data()[0], 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid weight decay")]
-    fn adamw_rejects_bad_decay() {
-        AdamW::new(0.1, 1.5);
-    }
-
-    #[test]
-    fn step_decay_schedule_values() {
-        let sch = StepDecay::new(1.0, 0.5, 10);
-        assert_eq!(sch.lr_at(0), 1.0);
-        assert_eq!(sch.lr_at(9), 1.0);
-        assert_eq!(sch.lr_at(10), 0.5);
-        assert_eq!(sch.lr_at(25), 0.25);
-    }
-
-    #[test]
-    fn schedule_applies_to_optimizer() {
-        let sch = StepDecay::new(0.1, 0.1, 5);
-        let mut opt = Sgd::new(0.1);
-        sch.apply(&mut opt, 5);
-        assert!((opt.learning_rate() - 0.01).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clip_grad_norm_scales_down() {
-        let mut p = Param::new("w", Tensor::from_slice(&[0.0, 0.0]));
-        p.grad = Tensor::from_slice(&[3.0, 4.0]);
-        let pre = clip_grad_norm(&mut [&mut p], 1.0);
-        assert!((pre - 5.0).abs() < 1e-6);
-        assert!((p.grad.norm() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clip_grad_norm_noop_when_small() {
-        let mut p = Param::new("w", Tensor::from_slice(&[0.0]));
-        p.grad = Tensor::from_slice(&[0.5]);
-        clip_grad_norm(&mut [&mut p], 1.0);
-        assert_eq!(p.grad.data()[0], 0.5);
-    }
-
-    #[test]
     #[should_panic(expected = "invalid learning rate")]
-    fn sgd_rejects_bad_lr() {
-        Sgd::new(-1.0);
+    fn adam_rejects_bad_lr() {
+        Adam::new(-1.0);
     }
 
     #[test]
     fn try_constructors_return_typed_errors() {
         assert_eq!(
-            Sgd::try_new(-1.0).unwrap_err(),
+            Adam::try_new(-1.0).unwrap_err(),
             OptimError::InvalidLearningRate(-1.0)
         );
         assert_eq!(
@@ -595,19 +258,10 @@ mod tests {
             "invalid learning rate NaN"
         );
         assert_eq!(
-            Momentum::try_new(0.1, 1.5).unwrap_err(),
-            OptimError::InvalidMomentum(1.5)
+            Adam::try_with_betas(0.1, 0.9, 1.0).unwrap_err(),
+            OptimError::InvalidBeta(1.0)
         );
-        assert_eq!(
-            AdamW::try_new(0.1, 1.5).unwrap_err(),
-            OptimError::InvalidWeightDecay(1.5)
-        );
-        assert_eq!(
-            StepDecay::try_new(0.1, 0.0, 5).unwrap_err(),
-            OptimError::InvalidSchedule
-        );
-        assert!(Adam::try_with_betas(0.1, 0.9, 1.0).is_err());
-        assert!(Sgd::try_new(0.1).is_ok());
+        assert!(Adam::try_new(0.1).is_ok());
     }
 
     #[test]

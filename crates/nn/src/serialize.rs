@@ -12,7 +12,6 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
-use crate::layer::Param;
 use crate::net::Sequential;
 use crate::tensor::Tensor;
 
@@ -53,10 +52,6 @@ pub enum LoadError {
         /// Shape found in the checkpoint.
         found: Vec<usize>,
     },
-    /// An I/O failure while reading or writing.
-    Io(io::Error),
-    /// Malformed JSON.
-    Json(serde_json::Error),
 }
 
 impl std::fmt::Display for LoadError {
@@ -76,54 +71,17 @@ impl std::fmt::Display for LoadError {
                 f,
                 "tensor {index} has shape {found:?} but the network expects {expected:?}"
             ),
-            LoadError::Io(e) => write!(f, "i/o error: {e}"),
-            LoadError::Json(e) => write!(f, "malformed checkpoint json: {e}"),
         }
     }
 }
 
-impl std::error::Error for LoadError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            LoadError::Io(e) => Some(e),
-            LoadError::Json(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for LoadError {
-    fn from(e: io::Error) -> Self {
-        LoadError::Io(e)
-    }
-}
-
-impl From<serde_json::Error> for LoadError {
-    fn from(e: serde_json::Error) -> Self {
-        LoadError::Json(e)
-    }
-}
+impl std::error::Error for LoadError {}
 
 /// Captures the current weights of a network.
 pub fn snapshot(net: &Sequential) -> Checkpoint {
     Checkpoint {
         tensors: net
             .params()
-            .iter()
-            .map(|p| NamedTensor {
-                name: p.name.clone(),
-                shape: p.value.shape().to_vec(),
-                data: p.value.data().to_vec(),
-            })
-            .collect(),
-    }
-}
-
-/// Captures weights from an explicit parameter list (for models that are
-/// not a single [`Sequential`], e.g. the joint model).
-pub fn snapshot_params(params: &[&Param]) -> Checkpoint {
-    Checkpoint {
-        tensors: params
             .iter()
             .map(|p| NamedTensor {
                 name: p.name.clone(),
@@ -142,16 +100,6 @@ pub fn snapshot_params(params: &[&Param]) -> Checkpoint {
 /// the checkpoint does not fit the network.
 pub fn restore(net: &mut Sequential, ckpt: &Checkpoint) -> Result<(), LoadError> {
     let mut params = net.params_mut();
-    restore_params(&mut params, ckpt)
-}
-
-/// Restores a checkpoint into an explicit parameter list.
-///
-/// # Errors
-///
-/// Returns [`LoadError::CountMismatch`] or [`LoadError::ShapeMismatch`] if
-/// the checkpoint does not fit.
-pub fn restore_params(params: &mut [&mut Param], ckpt: &Checkpoint) -> Result<(), LoadError> {
     if params.len() != ckpt.tensors.len() {
         return Err(LoadError::CountMismatch {
             expected: params.len(),
@@ -171,27 +119,6 @@ pub fn restore_params(params: &mut [&mut Param], ckpt: &Checkpoint) -> Result<()
         p.value = Tensor::from_vec(t.shape.clone(), t.data.clone());
     }
     Ok(())
-}
-
-/// Writes a checkpoint to a JSON file.
-///
-/// # Errors
-///
-/// Returns an error on I/O or serialisation failure.
-pub fn save_file(ckpt: &Checkpoint, path: impl AsRef<Path>) -> Result<(), LoadError> {
-    let json = serde_json::to_string(ckpt)?;
-    fs::write(path, json)?;
-    Ok(())
-}
-
-/// Reads a checkpoint from a JSON file.
-///
-/// # Errors
-///
-/// Returns an error on I/O failure or malformed JSON.
-pub fn load_file(path: impl AsRef<Path>) -> Result<Checkpoint, LoadError> {
-    let json = fs::read_to_string(path)?;
-    Ok(serde_json::from_str(&json)?)
 }
 
 /// Writes `bytes` to `path` atomically: the data goes to a sibling
@@ -300,19 +227,6 @@ mod tests {
         let before = snapshot(&other);
         let _ = restore(&mut other, &snapshot(&a)).unwrap_err();
         assert_eq!(snapshot(&other), before);
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let a = net(7);
-        let ckpt = snapshot(&a);
-        let dir = std::env::temp_dir().join("snia_nn_serialize_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
-        save_file(&ckpt, &path).unwrap();
-        let loaded = load_file(&path).unwrap();
-        assert_eq!(ckpt, loaded);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -140,11 +140,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Row-major strides for the current shape.
     pub fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1; self.shape.len()];
@@ -211,29 +206,11 @@ impl Tensor {
         }
     }
 
-    /// In-place reshape, avoiding a copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: Vec<usize>) {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.data.len(), "reshape length mismatch");
-        self.shape = shape;
-    }
-
     /// Elementwise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// In-place elementwise map.
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 
@@ -297,13 +274,6 @@ impl Tensor {
         assert_eq!(self.shape, other.shape, "add_scaled shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b * scale;
-        }
-    }
-
-    /// Multiplies every element by `s` in place.
-    pub fn scale_in_place(&mut self, s: f32) {
-        for x in &mut self.data {
-            *x *= s;
         }
     }
 
@@ -706,13 +676,11 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_and_scale() {
+    fn add_scaled() {
         let mut a = Tensor::from_slice(&[1., 2.]);
         let b = Tensor::from_slice(&[10., 20.]);
         a.add_scaled(&b, 0.5);
         assert_eq!(a.data(), &[6., 12.]);
-        a.scale_in_place(2.0);
-        assert_eq!(a.data(), &[12., 24.]);
     }
 
     #[test]

@@ -22,13 +22,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use snia_core::resilience::{
-    decode_framed, encode_framed, CheckpointError, Checkpointable, ModelState,
-};
-use snia_core::{JointModel, LightCurveClassifier, Replica};
+use snia_core::resilience::{CheckpointError, ModelState};
+use snia_core::{JointModel, LightCurveClassifier, Model};
+use snia_dataset::framing::{decode_framed, encode_framed};
 use snia_nn::loss::sigmoid_probs;
 use snia_nn::serialize::write_atomic;
-use snia_nn::{Mode, Tensor};
+use snia_nn::{Mode, Sequential, Tensor};
 
 use crate::engine::RequestInput;
 
@@ -235,7 +234,8 @@ impl ModelBundle {
         }
         let wpath = dir.join(WEIGHTS_FILE);
         let bytes = fs::read(&wpath).map_err(|e| io_err(&wpath, e))?;
-        let body = decode_framed(BUNDLE_MAGIC, BUNDLE_VERSION, &bytes)?;
+        let body =
+            decode_framed(BUNDLE_MAGIC, BUNDLE_VERSION, &bytes).map_err(CheckpointError::from)?;
         let text =
             std::str::from_utf8(body).map_err(|_| BundleError::from(CheckpointError::BadHeader))?;
         let state: ModelState = serde_json::from_str(text)?;
@@ -253,20 +253,17 @@ impl ModelBundle {
         // The RNG only seeds throwaway initial weights; `restore`
         // overwrites every parameter value and buffer.
         let mut rng = StdRng::seed_from_u64(0);
-        match self.manifest.kind {
+        let m = &self.manifest;
+        let mut model = match m.kind {
             ModelKind::Classifier => {
-                let mut clf =
-                    LightCurveClassifier::new(self.manifest.epochs, self.manifest.hidden, &mut rng);
-                clf.restore(&self.state)?;
-                Ok(ServedModel::Classifier(clf))
+                ServedModel::Classifier(LightCurveClassifier::new(m.epochs, m.hidden, &mut rng))
             }
             ModelKind::Joint => {
-                let mut jm =
-                    JointModel::from_scratch(self.manifest.crop, self.manifest.hidden, &mut rng);
-                jm.restore(&self.state)?;
-                Ok(ServedModel::Joint(jm))
+                ServedModel::Joint(JointModel::from_scratch(m.crop, m.hidden, &mut rng))
             }
-        }
+        };
+        model.restore(&self.state)?;
+        Ok(model)
     }
 }
 
@@ -305,24 +302,14 @@ impl ServedModel {
     }
 
     /// A bit-identical copy for another worker thread: replicate the
-    /// architecture through `core::parallel`'s [`Replica`] machinery, then
-    /// restore this model's captured state (weights *and* batch-norm
-    /// running statistics) into the replica.
+    /// architecture ([`Model::replicate`]), then restore this model's
+    /// captured state (weights *and* batch-norm running statistics) into
+    /// the replica.
     pub fn replica(&self) -> ServedModel {
-        match self {
-            ServedModel::Classifier(c) => {
-                let mut r = c.replicate();
-                r.restore(&c.capture())
-                    .expect("replica shares the architecture");
-                ServedModel::Classifier(r)
-            }
-            ServedModel::Joint(j) => {
-                let mut r = j.replicate();
-                r.restore(&j.capture())
-                    .expect("replica shares the architecture");
-                ServedModel::Joint(r)
-            }
-        }
+        let mut r = self.replicate();
+        r.restore(&self.capture())
+            .expect("replica shares the architecture");
+        r
     }
 
     /// Scores a batch of (pre-validated) inputs in evaluation mode,
@@ -391,6 +378,27 @@ impl ServedModel {
                     .map(|&p| f64::from(p))
                     .collect()
             }
+        }
+    }
+}
+
+impl Model for ServedModel {
+    fn networks(&self) -> Vec<&Sequential> {
+        match self {
+            ServedModel::Classifier(c) => c.networks(),
+            ServedModel::Joint(j) => j.networks(),
+        }
+    }
+    fn networks_mut(&mut self) -> Vec<&mut Sequential> {
+        match self {
+            ServedModel::Classifier(c) => c.networks_mut(),
+            ServedModel::Joint(j) => j.networks_mut(),
+        }
+    }
+    fn replicate(&self) -> Self {
+        match self {
+            ServedModel::Classifier(c) => ServedModel::Classifier(c.replicate()),
+            ServedModel::Joint(j) => ServedModel::Joint(j.replicate()),
         }
     }
 }

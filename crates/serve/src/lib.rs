@@ -9,13 +9,12 @@
 //!
 //! * [`bundle`] — the on-disk **model bundle**: a JSON manifest describing
 //!   the architecture plus a CRC-framed weight file (`SNIA-BUNDLE v1`,
-//!   sharing [`snia_core::resilience`]'s envelope and [`ModelState`]
+//!   sharing the training checkpoints' CRC envelope and [`ModelState`]
 //!   capture/restore), enough to reconstruct either the light-curve
 //!   classifier or the end-to-end joint image model for inference.
 //! * [`engine`] — the **micro-batching engine**: requests land on a
 //!   bounded in-process queue and a worker pool (one model replica per
-//!   worker, built on `core::parallel`'s [`snia_core::parallel::Replica`]
-//!   replication) drains them in dynamic batches. A batch is flushed as
+//!   worker, built with [`snia_core::Model::replicate`]) drains them in dynamic batches. A batch is flushed as
 //!   soon as `max_batch` requests are pending *or* the oldest pending
 //!   request has waited `max_wait` — so throughput comes from batching
 //!   but tail latency stays bounded. When the queue is full, submissions

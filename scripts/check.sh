@@ -1,7 +1,9 @@
 #!/bin/bash
-# Pre-merge gate: formatting, lints, release build, full test suite.
+# Pre-merge gate: formatting, lints, release build, benchmark build, full
+# test suite.
 # Usage: scripts/check.sh [--quick]
-#   --quick   skip the release build (CI runs it as a separate job)
+#   --quick   skip the workspace release build (CI runs it as a separate
+#             job); the benchmark build still runs
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,6 +28,11 @@ if [ "$quick" -eq 0 ]; then
     echo "== cargo build --release =="
     cargo build --release --workspace
 fi
+
+# The benchmark (perfbench/, its own workspace) builds against the crates'
+# public API; a core API change that breaks it must fail the gate.
+echo "== perfbench build =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test =="
 cargo test --workspace -q

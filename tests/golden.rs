@@ -533,21 +533,5 @@ fn training_fingerprints_match_golden() {
         )
     });
     let want: Vec<Fingerprint> = serde_json::from_str(&text).expect("parse golden file");
-    let diffs: Vec<String> = want
-        .iter()
-        .zip(&got)
-        .filter(|(w, g)| w != g)
-        .map(|(w, g)| {
-            format!(
-                "{}: golden {} got {} ({})",
-                w.case, w.digest, g.digest, g.case
-            )
-        })
-        .collect();
-    assert_eq!(want.len(), got.len(), "fingerprint case count changed");
-    assert!(
-        diffs.is_empty(),
-        "training is no longer bit-identical:\n{}",
-        diffs.join("\n")
-    );
+    assert_eq!(want, got, "training is no longer bit-identical");
 }
