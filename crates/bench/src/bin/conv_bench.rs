@@ -1,9 +1,11 @@
 //! Convolution backend + batch-executor benchmark.
 //!
-//! Times the im2col/GEMM conv backend against the naive reference on the
-//! paper's 65×65 single-band geometry, and the data-parallel joint
-//! training loop at 1/2/4 threads. Writes `BENCH_conv.json` at the
-//! workspace root.
+//! Times the GEMM entry points at the nine shapes the flux CNN's
+//! convolutions run at crop 60, the im2col/GEMM conv backend against the
+//! naive reference on the paper's 65×65 single-band geometry, and the
+//! data-parallel joint training loop at 1/2/4 threads. Writes
+//! `BENCH_conv.json` at the workspace root, with the host's core count,
+//! SIMD flags and the GEMM micro-kernel that ran.
 //!
 //! Run with `cargo run --release -p snia-bench --bin conv_bench`.
 
@@ -18,6 +20,7 @@ use snia_core::joint::JointModel;
 use snia_core::train::{joint_examples, train_joint, ClassifierTrainConfig};
 use snia_core::ExperimentConfig;
 use snia_dataset::Dataset;
+use snia_nn::gemm::{gemm_nn, gemm_nt, gemm_tn, kernel_name};
 use snia_nn::init;
 use snia_nn::layers::{Conv2d, ConvBackend, Padding};
 use snia_nn::{Layer, Mode, Tensor};
@@ -30,6 +33,26 @@ struct BackendTiming {
 }
 
 #[derive(Serialize)]
+struct GemmTiming {
+    layer: String,
+    variant: String,
+    m: usize,
+    k: usize,
+    n: usize,
+    ms_per_80_calls: f64,
+    gflops: f64,
+}
+
+#[derive(Serialize)]
+struct HostInfo {
+    nproc: usize,
+    avx2: bool,
+    avx512f: bool,
+    fma: bool,
+    gemm_kernel: String,
+}
+
+#[derive(Serialize)]
 struct ThreadTiming {
     threads: usize,
     samples_per_sec: f64,
@@ -38,6 +61,8 @@ struct ThreadTiming {
 
 #[derive(Serialize)]
 struct ConvBenchResult {
+    host: HostInfo,
+    flux_cnn_gemm: Vec<GemmTiming>,
     input_shape: [usize; 4],
     kernel: usize,
     out_channels: usize,
@@ -45,8 +70,70 @@ struct ConvBenchResult {
     forward_speedup: f64,
     forward_backward_speedup: f64,
     joint_training: Vec<ThreadTiming>,
-    cpu_cores: usize,
     note: String,
+}
+
+fn host_info() -> HostInfo {
+    #[cfg(target_arch = "x86_64")]
+    let (avx2, avx512f, fma) = (
+        is_x86_feature_detected!("avx2"),
+        is_x86_feature_detected!("avx512f"),
+        is_x86_feature_detected!("fma"),
+    );
+    #[cfg(not(target_arch = "x86_64"))]
+    let (avx2, avx512f, fma) = (false, false, false);
+    HostInfo {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        avx2,
+        avx512f,
+        fma,
+        gemm_kernel: kernel_name().into(),
+    }
+}
+
+type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+
+/// Times each GEMM variant at the flux CNN's crop-60 conv shapes: 5×5
+/// kernels, 10/20/30 channels on 60/30/15-pixel planes. One training step
+/// at batch 16 × 5 bands makes 80 calls of each (forward `nn`, weight
+/// gradient `nt`, input gradient `tn`).
+fn time_flux_gemms(seed: u64) -> Vec<GemmTiming> {
+    const CALLS: usize = 80;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rows = Vec::new();
+    let (mut side, mut in_ch) = (60usize, 1usize);
+    for (layer, out_ch) in [10usize, 20, 30].into_iter().enumerate() {
+        let (oc, ckk, owl) = (out_ch, in_ch * 25, side * side);
+        // (variant, m, k, n) as conv.rs calls them.
+        for (variant, gemm, m, k, n) in [
+            ("nn", gemm_nn as Gemm, oc, ckk, owl),
+            ("nt", gemm_nt, oc, owl, ckk),
+            ("tn", gemm_tn, ckk, oc, owl),
+        ] {
+            let a = init::randn_tensor(&mut rng, vec![m * k], 1.0);
+            let b = init::randn_tensor(&mut rng, vec![k * n], 1.0);
+            let mut out = vec![0.0f32; m * n];
+            gemm(a.data(), b.data(), &mut out, m, k, n);
+            let ms = median_ms(5, || {
+                for _ in 0..CALLS {
+                    gemm(a.data(), b.data(), &mut out, m, k, n);
+                }
+                std::hint::black_box(&out);
+            });
+            rows.push(GemmTiming {
+                layer: format!("conv{}", layer + 1),
+                variant: variant.into(),
+                m,
+                k,
+                n,
+                ms_per_80_calls: ms,
+                gflops: (2 * m * k * n * CALLS) as f64 / (ms * 1e6),
+            });
+        }
+        side /= 2;
+        in_ch = out_ch;
+    }
+    rows
 }
 
 /// Median wall-clock of `reps` runs of `f`, in milliseconds.
@@ -109,6 +196,24 @@ fn main() {
     let mut cfg = ExperimentConfig::from_env();
     cfg.dataset.n_samples = cfg.dataset.n_samples.min(16);
     progress!("# Conv backend + batch executor benchmark");
+    let host = host_info();
+
+    // --- GEMM at the flux CNN's conv shapes ---
+    let flux_cnn_gemm = time_flux_gemms(cfg.seed);
+    let mut gemm_table = Table::new(vec!["layer", "gemm", "m×k×n", "ms / 80 calls", "GFLOP/s"]);
+    for t in &flux_cnn_gemm {
+        gemm_table.row(vec![
+            t.layer.clone(),
+            t.variant.clone(),
+            format!("{}×{}×{}", t.m, t.k, t.n),
+            format!("{:.1}", t.ms_per_80_calls),
+            format!("{:.1}", t.gflops),
+        ]);
+    }
+    gemm_table.print(&format!(
+        "Flux-CNN conv GEMMs at crop 60 ({} micro-kernel)",
+        host.gemm_kernel
+    ));
 
     // --- conv backends on the paper's 65×65 / 5×5 geometry ---
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -132,7 +237,6 @@ fn main() {
     );
 
     // --- joint training throughput vs. thread count ---
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ds = Dataset::generate(&cfg.dataset);
     let mut joint = Vec::new();
     let mut base = 0.0;
@@ -155,10 +259,13 @@ fn main() {
         });
     }
     thr_table.print(&format!(
-        "Joint-model training throughput ({cores} CPU core(s) available)"
+        "Joint-model training throughput ({} CPU core(s) available)",
+        host.nproc
     ));
 
     let result = ConvBenchResult {
+        host,
+        flux_cnn_gemm,
         input_shape: [5, 1, 65, 65],
         kernel: 5,
         out_channels: 5,
@@ -166,9 +273,8 @@ fn main() {
         forward_speedup,
         forward_backward_speedup,
         joint_training: joint,
-        cpu_cores: cores,
-        note: "thread speedups are bounded by the physical core count; \
-               on a 1-core host oversubscribed threads add only overhead"
+        note: "thread speedups are bounded by the core count (host.nproc); \
+               oversubscribed threads add only overhead"
             .into(),
     };
     let json = serde_json::to_string_pretty(&result).expect("serialize");

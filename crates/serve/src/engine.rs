@@ -144,6 +144,16 @@ impl Ticket {
     pub fn wait(self) -> Result<Response, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::ShuttingDown))
     }
+
+    /// The answer if it has arrived, without blocking; as [`Ticket::wait`]
+    /// otherwise. Call it again only after it returned `None`.
+    pub(crate) fn try_wait(&self) -> Option<Result<Response, ServeError>> {
+        match self.rx.try_recv() {
+            Ok(answer) => Some(answer),
+            Err(mpsc::TryRecvError::Empty) => None,
+            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
+        }
+    }
 }
 
 /// What the served model expects of a request; captured before the model

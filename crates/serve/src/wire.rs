@@ -14,10 +14,13 @@
 //! ```
 //!
 //! [`serve_lines`] streams a reader through an [`Engine`], pipelining up
-//! to the engine's queue capacity. When the engine sheds a submission
-//! with [`ServeError::Overloaded`], the driver waits out the oldest
-//! in-flight ticket (draining its answer) and retries — backpressure
-//! propagates to the input stream instead of dropping requests.
+//! to the engine's queue capacity. After each submission it writes every
+//! answer that has already arrived at the head of the in-flight queue, so
+//! output follows input as it is scored. When the engine sheds a
+//! submission with [`ServeError::Overloaded`], the driver waits out the
+//! oldest in-flight ticket (draining its answer) and retries —
+//! backpressure propagates to the input stream instead of dropping
+//! requests.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
@@ -130,16 +133,39 @@ pub struct ServeSummary {
     pub requests_per_sec: f64,
 }
 
-fn drain_one(inflight: &mut VecDeque<Ticket>, output: &mut impl Write) -> Result<(), WireError> {
-    let ticket = inflight.pop_front().expect("drain with nothing in flight");
-    let resp = ticket.wait().map_err(WireError::Serve)?;
+fn write_answer(
+    answer: Result<Response, ServeError>,
+    output: &mut impl Write,
+) -> Result<(), WireError> {
+    let resp = answer.map_err(WireError::Serve)?;
     writeln!(output, "{}", response_line(&resp))?;
     Ok(())
 }
 
+/// Blocks for the oldest in-flight answer and writes it.
+fn drain_one(inflight: &mut VecDeque<Ticket>, output: &mut impl Write) -> Result<(), WireError> {
+    let ticket = inflight.pop_front().expect("drain with nothing in flight");
+    write_answer(ticket.wait(), output)
+}
+
+/// Writes the answers that have already arrived at the head of the
+/// in-flight queue, in order, and returns how many.
+fn drain_ready(
+    inflight: &mut VecDeque<Ticket>,
+    output: &mut impl Write,
+) -> Result<usize, WireError> {
+    let mut written = 0;
+    while let Some(answer) = inflight.front().and_then(Ticket::try_wait) {
+        inflight.pop_front();
+        write_answer(answer, output)?;
+        written += 1;
+    }
+    Ok(written)
+}
+
 /// Streams JSONL requests from `input` through `engine`, writing one
-/// scored JSONL line per request to `output` in input order. Blank lines
-/// are skipped.
+/// scored JSONL line per request to `output` in input order, as soon as
+/// the answers ahead of it are written. Blank lines are skipped.
 ///
 /// # Errors
 ///
@@ -168,6 +194,7 @@ pub fn serve_lines(
             match engine.submit(req.clone()) {
                 Ok(ticket) => {
                     inflight.push_back(ticket);
+                    answered += drain_ready(&mut inflight, output)?;
                     break;
                 }
                 Err(ServeError::Overloaded { .. }) if !inflight.is_empty() => {
@@ -198,7 +225,114 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snia_core::LightCurveClassifier;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::time::Duration;
+
+    fn classifier_engine(queue_cap: usize) -> Engine {
+        let mut rng = StdRng::seed_from_u64(9);
+        let model = ServedModel::Classifier(LightCurveClassifier::new(1, 8, &mut rng));
+        Engine::start(
+            model,
+            EngineConfig {
+                max_batch: 4,
+                max_wait: Duration::from_millis(1),
+                queue_cap,
+                workers: 1,
+            },
+        )
+    }
+
+    fn request_lines(count: usize) -> Vec<String> {
+        (0..count)
+            .map(|i| {
+                let feats: Vec<String> = (0..10)
+                    .map(|j| format!("{}", (i * 10 + j) as f64 * 0.01))
+                    .collect();
+                format!("{{\"id\": {i}, \"features\": [{}]}}\n", feats.join(","))
+            })
+            .collect()
+    }
+
+    fn ids(output: &[u8]) -> Vec<u64> {
+        String::from_utf8_lossy(output)
+            .lines()
+            .map(|l| {
+                serde_json::from_str::<Value>(l)
+                    .unwrap()
+                    .get("id")
+                    .and_then(Value::as_u64)
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    /// Hands out one line per `fill_buf`. Before line `pause` (0-based)
+    /// it scores a probe through the same one-worker engine, whose FIFO
+    /// queue then guarantees every earlier line has its answer; it notes
+    /// what `out` held when line `pause + 1` is asked for.
+    struct PausingReader<'a> {
+        engine: &'a Engine,
+        lines: Vec<String>,
+        next: usize,
+        offset: usize,
+        pause: usize,
+        out: Rc<RefCell<Vec<u8>>>,
+        written_before_next: Option<Vec<u64>>,
+    }
+
+    impl io::Read for PausingReader<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = {
+                let avail = self.fill_buf()?;
+                let n = avail.len().min(buf.len());
+                buf[..n].copy_from_slice(&avail[..n]);
+                n
+            };
+            self.consume(n);
+            Ok(n)
+        }
+    }
+
+    impl BufRead for PausingReader<'_> {
+        fn fill_buf(&mut self) -> io::Result<&[u8]> {
+            if self.offset == 0 {
+                if self.next == self.pause {
+                    let probe = parse_request_line(&request_lines(1)[0]).unwrap();
+                    self.engine.score(probe).unwrap();
+                } else if self.next == self.pause + 1 {
+                    self.written_before_next = Some(ids(&self.out.borrow()));
+                }
+            }
+            Ok(self
+                .lines
+                .get(self.next)
+                .map_or(&[][..], |l| &l.as_bytes()[self.offset..]))
+        }
+
+        fn consume(&mut self, amt: usize) {
+            self.offset += amt;
+            if self
+                .lines
+                .get(self.next)
+                .is_some_and(|l| self.offset == l.len())
+            {
+                self.next += 1;
+                self.offset = 0;
+            }
+        }
+    }
+
+    struct SharedOut(Rc<RefCell<Vec<u8>>>);
+
+    impl Write for SharedOut {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.borrow_mut().write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
 
     #[test]
     fn parses_both_request_shapes() {
@@ -233,44 +367,43 @@ mod tests {
 
     #[test]
     fn serve_lines_preserves_order_under_backpressure() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let model = ServedModel::Classifier(LightCurveClassifier::new(1, 8, &mut rng));
         // A tiny queue forces the Overloaded → drain-oldest → retry path.
-        let engine = Engine::start(
-            model,
-            EngineConfig {
-                max_batch: 4,
-                max_wait: Duration::from_millis(1),
-                queue_cap: 2,
-                workers: 1,
-            },
-        );
-        let mut input = String::new();
-        for i in 0..20 {
-            let feats: Vec<String> = (0..10)
-                .map(|j| format!("{}", (i * 10 + j) as f64 * 0.01))
-                .collect();
-            input.push_str(&format!(
-                "{{\"id\": {i}, \"features\": [{}]}}\n",
-                feats.join(",")
-            ));
-        }
+        let engine = classifier_engine(2);
+        let mut input = request_lines(20).concat();
         input.push('\n'); // blank lines are skipped
         let mut out = Vec::new();
         let summary = serve_lines(&engine, input.as_bytes(), &mut out).unwrap();
         engine.shutdown();
         assert_eq!(summary.requests, 20);
-        let text = String::from_utf8(out).unwrap();
-        let ids: Vec<u64> = text
-            .lines()
-            .map(|l| {
-                serde_json::from_str::<Value>(l)
-                    .unwrap()
-                    .get("id")
-                    .and_then(Value::as_u64)
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(ids, (0..20).collect::<Vec<u64>>());
+        assert_eq!(ids(&out), (0..20).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn serve_lines_writes_answers_before_input_ends() {
+        // The queue never fills, so only answered-ticket draining can
+        // write anything before EOF.
+        let engine = classifier_engine(1024);
+        let out = Rc::new(RefCell::new(Vec::new()));
+        let mut reader = PausingReader {
+            engine: &engine,
+            lines: request_lines(6),
+            next: 0,
+            offset: 0,
+            pause: 3,
+            out: Rc::clone(&out),
+            written_before_next: None,
+        };
+        let summary = serve_lines(&engine, &mut reader, &mut SharedOut(Rc::clone(&out))).unwrap();
+        let early = reader
+            .written_before_next
+            .expect("reader saw line 5 requested");
+        engine.shutdown();
+        assert_eq!(summary.requests, 6);
+        assert_eq!(
+            early.first(),
+            Some(&0),
+            "line 1 not written by line 5: {early:?}"
+        );
+        assert_eq!(ids(&out.borrow()), (0..6).collect::<Vec<u64>>());
     }
 }

@@ -21,6 +21,18 @@ done
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+# The AVX2 GEMM micro-kernel is the only code allowed the `unsafe`
+# keyword; snia-nn denies it elsewhere and every other crate forbids it.
+echo "== unsafe confined to crates/nn/src/gemm/x86.rs =="
+hits=$(git ls-files --cached --others --exclude-standard -- '*.rs' |
+    grep -v '^crates/nn/src/gemm/x86\.rs$' |
+    xargs grep -nw unsafe || true)
+if [ -n "$hits" ]; then
+    echo "$hits"
+    echo "unsafe outside crates/nn/src/gemm/x86.rs" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace -- -D warnings
 

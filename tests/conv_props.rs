@@ -1,10 +1,12 @@
 //! Property-based tests (proptest) for the convolution lowering and the
 //! blocked GEMM kernels.
 //!
-//! Inputs are *integer-valued* floats: every product and partial sum is
-//! exactly representable in `f32`, so the lowered (im2col + GEMM) and
+//! Most inputs are *integer-valued* floats: every product and partial sum
+//! is exactly representable in `f32`, so the lowered (im2col + GEMM) and
 //! naive convolution paths must agree to full precision regardless of
-//! summation order — far inside the 1e-10 equivalence budget.
+//! summation order — far inside the 1e-10 equivalence budget. The GEMM
+//! bit-identity property uses non-integer data instead, so that any
+//! change to the order of the `k` sum shows.
 
 use proptest::prelude::*;
 
@@ -25,6 +27,39 @@ fn int_data(len: usize, seed: u64) -> Vec<f32> {
             ((state >> 33) % 9) as f32 - 4.0
         })
         .collect()
+}
+
+/// Deterministic finite, non-zero, non-integer data with full mantissas
+/// over magnitudes 2⁻³…2³: products and partial sums round, so a
+/// reordered sum changes output bits. Non-zero because `naive_matmul`
+/// skips zero entries of `A`.
+fn frac_data(len: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let unit = ((state >> 40) as f32 + 0.5) / (1u64 << 24) as f32;
+            let scale = f32::powi(2.0, (state >> 33) as i32 % 7 - 3);
+            let sign = if state >> 63 == 0 { 1.0 } else { -1.0 };
+            sign * (0.25 + unit) * scale
+        })
+        .collect()
+}
+
+fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; x.len()];
+    for r in 0..rows {
+        for c in 0..cols {
+            t[c * rows + r] = x[r * cols + c];
+        }
+    }
+    t
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -139,6 +174,37 @@ proptest! {
         let mut got = vec![0.0f32; m * n];
         gemm_tn(&at, &b, &mut got, m, k, n);
         prop_assert_eq!(&got, &want, "gemm_tn");
+    }
+
+    /// All three GEMM variants round every output exactly as the naive
+    /// i-p-j loop does: `to_bits` equality on order-sensitive data, into a
+    /// pre-filled `out`, on shapes straddling the register tile (5×16)
+    /// and the 256-deep `k` block.
+    #[test]
+    fn gemm_variants_are_bit_identical_to_naive_on_fractional_data(
+        m in 1usize..13,
+        k in prop::sample::select(vec![1usize, 2, 7, 31, 255, 256, 257, 300]),
+        n in 1usize..50,
+        seed in 0u64..1000,
+    ) {
+        let a = frac_data(m * k, seed);
+        let b = frac_data(k * n, seed ^ 0xABCD);
+        let init = frac_data(m * n, seed ^ 0x1234);
+        let mut want = init.clone();
+        naive_matmul(&a, &b, &mut want, m, k, n);
+        let want = bits(&want);
+
+        let mut got = init.clone();
+        gemm_nn(&a, &b, &mut got, m, k, n);
+        prop_assert_eq!(bits(&got), want.clone(), "gemm_nn {}x{}x{}", m, k, n);
+
+        let mut got = init.clone();
+        gemm_nt(&a, &transpose(&b, k, n), &mut got, m, k, n);
+        prop_assert_eq!(bits(&got), want.clone(), "gemm_nt {}x{}x{}", m, k, n);
+
+        let mut got = init;
+        gemm_tn(&transpose(&a, m, k), &b, &mut got, m, k, n);
+        prop_assert_eq!(bits(&got), want, "gemm_tn {}x{}x{}", m, k, n);
     }
 
     // ---- conv backends ----
