@@ -4,9 +4,12 @@
 //! ([`crate::lowering::im2col`]) and runs the cache-blocked GEMM kernels
 //! ([`crate::gemm`]) for the forward pass, the weight gradient and the
 //! column gradient (scattered back with
-//! [`crate::lowering::col2im_add`]). The im2col scratch buffers are
-//! cached on the layer, so steady-state training does no per-call
-//! allocation beyond the output tensors.
+//! [`crate::lowering::col2im_add`]). Only one sample's column matrix
+//! exists at a time: a training forward caches the input tensor, and
+//! backward lowers each sample again into the same scratch buffer the
+//! forward used. The scratch buffers live on the layer, so steady-state
+//! training does no per-call allocation beyond the output tensors and
+//! the cached input.
 //!
 //! [`ConvBackend::NaiveReference`] keeps the direct six-deep loop nest
 //! alive as an independently-written oracle: gradcheck and the
@@ -19,6 +22,7 @@ use crate::gemm::{gemm_nn, gemm_nt, gemm_tn};
 use crate::init;
 use crate::layer::{Layer, Mode, Param};
 use crate::lowering::{col2im_add, im2col, ConvGeom};
+use crate::planes::plane_sums;
 use crate::tensor::Tensor;
 
 /// Spatial padding policy for [`Conv2d`].
@@ -67,7 +71,8 @@ pub struct Conv2d {
     kernel: usize,
     padding: Padding,
     backend: ConvBackend,
-    /// Reusable im2col / column-gradient buffers (see module docs).
+    /// Reusable one-sample im2col / column-gradient buffers (see module
+    /// docs).
     scratch: Scratch,
     cache: Option<ConvCache>,
 }
@@ -76,22 +81,17 @@ pub struct Conv2d {
 struct Scratch {
     col: Vec<f32>,
     dcol: Vec<f32>,
+    /// Per-output-channel sums of one sample's output gradient.
+    db: Vec<f32>,
 }
 
-enum ConvCache {
-    /// Lowered batch: the per-sample column matrices, concatenated.
-    Gemm {
-        input_shape: Vec<usize>,
-        cols: Vec<f32>,
-        out_h: usize,
-        out_w: usize,
-    },
-    /// The naive path re-reads the raw input in backward.
-    Naive {
-        input: Tensor,
-        out_h: usize,
-        out_w: usize,
-    },
+/// What backward needs from the training forward, for either backend:
+/// the raw input (the GEMM path re-lowers it one sample at a time) and
+/// the output size.
+struct ConvCache {
+    input: Tensor,
+    out_h: usize,
+    out_w: usize,
 }
 
 impl std::fmt::Debug for Conv2d {
@@ -210,131 +210,71 @@ impl Conv2d {
 
     // -- im2col + GEMM path -------------------------------------------------
 
-    fn forward_gemm(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_gemm(&mut self, input: &Tensor) -> Tensor {
         let (n, c, h, w) = self.check_input(input);
         let (out_h, out_w) = self.out_size(h, w);
         let g = self.geom(h, w);
         let (ckk, ow_len) = (g.col_rows(), out_h * out_w);
 
         let mut out = Tensor::zeros(vec![n, self.out_channels, out_h, out_w]);
-        // Training keeps every sample's column matrix for backward; eval
-        // reuses one sample-sized buffer. Either way the buffer lives in
-        // `self.scratch` between calls, so steady state never reallocates.
-        let per_sample = ckk * ow_len;
-        let mut col = std::mem::take(&mut self.scratch.col);
-        col.resize(
-            if mode == Mode::Train {
-                n * per_sample
-            } else {
-                per_sample
-            },
-            0.0,
-        );
-        let bias = self.bias.value.data().to_vec();
-        for ni in 0..n {
-            let sample = &input.data()[ni * c * h * w..(ni + 1) * c * h * w];
-            let col_s = if mode == Mode::Train {
-                &mut col[ni * per_sample..(ni + 1) * per_sample]
-            } else {
-                &mut col[..]
-            };
-            im2col(&g, sample, col_s);
-            let out_sample = &mut out.data_mut()
-                [ni * self.out_channels * ow_len..(ni + 1) * self.out_channels * ow_len];
+        let col = &mut self.scratch.col;
+        col.resize(ckk * ow_len, 0.0);
+        let bias = self.bias.value.data();
+        let samples = input.data().chunks_exact(c * h * w);
+        let outs = out.data_mut().chunks_exact_mut(self.out_channels * ow_len);
+        for (sample, out_sample) in samples.zip(outs) {
+            im2col(&g, sample, col);
             gemm_nn(
                 self.weight.value.data(),
-                col_s,
+                col,
                 out_sample,
                 self.out_channels,
                 ckk,
                 ow_len,
             );
-            for (oc, &b) in bias.iter().enumerate() {
-                for v in &mut out_sample[oc * ow_len..(oc + 1) * ow_len] {
+            for (plane, &b) in out_sample.chunks_exact_mut(ow_len).zip(bias) {
+                for v in plane {
                     *v += b;
                 }
             }
         }
-        if mode == Mode::Train {
-            self.cache = Some(ConvCache::Gemm {
-                input_shape: input.shape().to_vec(),
-                cols: col,
-                out_h,
-                out_w,
-            });
-        } else {
-            self.scratch.col = col;
-        }
         out
     }
 
-    fn backward_gemm(
-        &mut self,
-        grad_output: &Tensor,
-        input_shape: Vec<usize>,
-        cols: Vec<f32>,
-        out_h: usize,
-        out_w: usize,
-    ) -> Tensor {
-        let (n, c, h, w) = (
-            input_shape[0],
-            input_shape[1],
-            input_shape[2],
-            input_shape[3],
-        );
+    fn backward_gemm(&mut self, grad_output: &Tensor, input: &Tensor, ow_len: usize) -> Tensor {
+        let (c, h, w) = (input.shape()[1], input.shape()[2], input.shape()[3]);
         let g = self.geom(h, w);
-        let (ckk, ow_len) = (g.col_rows(), out_h * out_w);
-        assert_eq!(
-            grad_output.shape(),
-            &[n, self.out_channels, out_h, out_w],
-            "Conv2d grad_output shape mismatch"
-        );
+        let ckk = g.col_rows();
+        let oc = self.out_channels;
 
-        let mut grad_input = Tensor::zeros(input_shape);
-        let per_sample = ckk * ow_len;
-        let mut dcol = std::mem::take(&mut self.scratch.dcol);
-        dcol.resize(per_sample, 0.0);
-        for ni in 0..n {
-            let dy = &grad_output.data()
-                [ni * self.out_channels * ow_len..(ni + 1) * self.out_channels * ow_len];
-            let col_s = &cols[ni * per_sample..(ni + 1) * per_sample];
-
+        let mut grad_input = Tensor::zeros(input.shape().to_vec());
+        let Scratch { col, dcol, db } = &mut self.scratch;
+        col.resize(ckk * ow_len, 0.0);
+        dcol.resize(ckk * ow_len, 0.0);
+        db.resize(oc, 0.0);
+        let samples = input.data().chunks_exact(c * h * w);
+        let dys = grad_output.data().chunks_exact(oc * ow_len);
+        let grads = grad_input.data_mut().chunks_exact_mut(c * h * w);
+        for ((sample, dy), grad_sample) in samples.zip(dys).zip(grads) {
+            im2col(&g, sample, col);
             // dW += dy (OC×OWL) · colᵀ (OWL×CKK): gemm_nt accumulates
             // straight into the gradient buffer.
-            gemm_nt(
-                dy,
-                col_s,
-                self.weight.grad.data_mut(),
-                self.out_channels,
-                ow_len,
-                ckk,
-            );
-            let db = self.bias.grad.data_mut();
-            for (oc, dbv) in db.iter_mut().enumerate() {
-                *dbv += dy[oc * ow_len..(oc + 1) * ow_len].iter().sum::<f32>();
+            gemm_nt(dy, col, self.weight.grad.data_mut(), oc, ow_len, ckk);
+            plane_sums(dy, ow_len, db);
+            for (dbv, s) in self.bias.grad.data_mut().iter_mut().zip(db.iter()) {
+                *dbv += s;
             }
             // dcol = Wᵀ (CKK×OC) · dy (OC×OWL), then scatter back.
             dcol.fill(0.0);
-            gemm_tn(
-                self.weight.value.data(),
-                dy,
-                &mut dcol,
-                ckk,
-                self.out_channels,
-                ow_len,
-            );
-            let grad_sample = &mut grad_input.data_mut()[ni * c * h * w..(ni + 1) * c * h * w];
-            col2im_add(&g, &dcol, grad_sample);
+            gemm_tn(self.weight.value.data(), dy, dcol, ckk, oc, ow_len);
+            col2im_add(&g, dcol, grad_sample);
         }
-        // Hand the buffers back for the next call.
-        self.scratch.dcol = dcol;
-        self.scratch.col = cols;
         grad_input
     }
 
     // -- naive reference path -----------------------------------------------
 
-    fn forward_naive(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_naive(&self, input: &Tensor) -> Tensor {
         let (n, c, h, w) = self.check_input(input);
         let (out_h, out_w) = self.out_size(h, w);
         let (k, pad) = (self.kernel, self.pad() as isize);
@@ -366,20 +306,13 @@ impl Conv2d {
                 }
             }
         }
-        if mode == Mode::Train {
-            self.cache = Some(ConvCache::Naive {
-                input: input.clone(),
-                out_h,
-                out_w,
-            });
-        }
         out
     }
 
     fn backward_naive(
         &mut self,
         grad_output: &Tensor,
-        input: Tensor,
+        input: &Tensor,
         out_h: usize,
         out_w: usize,
     ) -> Tensor {
@@ -388,11 +321,6 @@ impl Conv2d {
             input.shape()[1],
             input.shape()[2],
             input.shape()[3],
-        );
-        assert_eq!(
-            grad_output.shape(),
-            &[n, self.out_channels, out_h, out_w],
-            "Conv2d grad_output shape mismatch"
         );
         let (k, pad) = (self.kernel, self.pad() as isize);
         let mut grad_input = Tensor::zeros(input.shape().to_vec());
@@ -428,29 +356,37 @@ impl Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        match self.backend {
-            ConvBackend::Im2colGemm => self.forward_gemm(input, mode),
-            ConvBackend::NaiveReference => self.forward_naive(input, mode),
+        let out = match self.backend {
+            ConvBackend::Im2colGemm => self.forward_gemm(input),
+            ConvBackend::NaiveReference => self.forward_naive(input),
+        };
+        if mode == Mode::Train {
+            self.cache = Some(ConvCache {
+                input: input.clone(),
+                out_h: out.shape()[2],
+                out_w: out.shape()[3],
+            });
         }
+        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cache = self
+        let ConvCache {
+            input,
+            out_h,
+            out_w,
+        } = self
             .cache
             .take()
             .expect("Conv2d::backward called without a training forward pass");
-        match cache {
-            ConvCache::Gemm {
-                input_shape,
-                cols,
-                out_h,
-                out_w,
-            } => self.backward_gemm(grad_output, input_shape, cols, out_h, out_w),
-            ConvCache::Naive {
-                input,
-                out_h,
-                out_w,
-            } => self.backward_naive(grad_output, input, out_h, out_w),
+        assert_eq!(
+            grad_output.shape(),
+            &[input.shape()[0], self.out_channels, out_h, out_w],
+            "Conv2d grad_output shape mismatch"
+        );
+        match self.backend {
+            ConvBackend::Im2colGemm => self.backward_gemm(grad_output, &input, out_h * out_w),
+            ConvBackend::NaiveReference => self.backward_naive(grad_output, &input, out_h, out_w),
         }
     }
 

@@ -65,7 +65,9 @@ impl Layer for MaxPool2d {
         );
         let k = self.window;
         let mut out = Tensor::zeros(vec![n, c, oh, ow]);
-        let mut argmax = vec![0usize; n * c * oh * ow];
+        // Only a training pass needs the argmax for backward.
+        let train = mode == Mode::Train;
+        let mut argmax = vec![0usize; if train { n * c * oh * ow } else { 0 }];
         let data = input.data();
         let out_data = out.data_mut();
         for ni in 0..n {
@@ -74,8 +76,10 @@ impl Layer for MaxPool2d {
                 let out_off = (ni * c + ci) * oh * ow;
                 for oy in 0..oh {
                     for ox in 0..ow {
+                        // A window with no value above −∞ (all NaN or −∞)
+                        // routes its gradient to its own first element.
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        let mut best_idx = plane_off + oy * k * w + ox * k;
                         for ky in 0..k {
                             let iy = oy * k + ky;
                             let row_off = plane_off + iy * w;
@@ -89,12 +93,14 @@ impl Layer for MaxPool2d {
                             }
                         }
                         out_data[out_off + oy * ow + ox] = best;
-                        argmax[out_off + oy * ow + ox] = best_idx;
+                        if train {
+                            argmax[out_off + oy * ow + ox] = best_idx;
+                        }
                     }
                 }
             }
         }
-        if mode == Mode::Train {
+        if train {
             self.cache = Some(PoolCache {
                 input_shape: input.shape().to_vec(),
                 argmax,
@@ -260,6 +266,30 @@ mod tests {
         pool.forward(&x, Mode::Train);
         let g = pool.backward(&Tensor::from_vec(vec![1, 1, 1, 1], vec![5.0]));
         assert_eq!(g.data(), &[0., 5., 0., 0.]);
+    }
+
+    #[test]
+    fn maxpool_window_without_a_maximum_routes_to_its_own_first_element() {
+        // Channel 0 is ordinary; channel 1 is all NaN (and, in the second
+        // case, all −∞), so no element beats the −∞ start value.
+        for fill in [f32::NAN, f32::NEG_INFINITY] {
+            let mut pool = MaxPool2d::new(2);
+            let x = Tensor::from_vec(
+                vec![1, 2, 2, 2],
+                vec![1., 2., 3., 4., fill, fill, fill, fill],
+            );
+            let y = pool.forward(&x, Mode::Train);
+            assert_eq!(y.data()[0], 4.0);
+            let g = pool.backward(&Tensor::ones(vec![1, 2, 1, 1]));
+            assert_eq!(g.data(), &[0., 0., 0., 1., 1., 0., 0., 0.], "fill {fill}");
+        }
+    }
+
+    #[test]
+    fn maxpool_eval_keeps_no_backward_cache() {
+        let mut pool = MaxPool2d::new(2);
+        pool.forward(&Tensor::ones(vec![2, 3, 4, 4]), Mode::Eval);
+        assert!(pool.cache.is_none());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! paper's band-wise CNN.
 
 use crate::layer::{Layer, Mode, Param};
+use crate::planes::channel_sums;
 use crate::tensor::Tensor;
 
 /// Parametric ReLU: `y = x` for `x > 0`, `y = a·x` otherwise, with a
@@ -35,17 +36,17 @@ impl PRelu {
         }
     }
 
-    /// Maps a flat element index to its slope index.
-    fn slope_index(&self, shape: &[usize], flat: usize) -> usize {
-        let n_alpha = self.alpha.value.len();
-        if n_alpha == 1 {
-            return 0;
-        }
-        // Channel axis is axis 1; inner size is the product of trailing dims.
-        let inner: usize = shape[2..].iter().product::<usize>().max(1);
-        let c = (flat / inner) % shape[1];
-        debug_assert!(c < n_alpha);
-        c
+    /// Length of the run of elements that share one slope: the whole
+    /// tensor for a shared slope, one channel plane (the product of the
+    /// axes after the channel axis) otherwise. Plane `p` uses slope
+    /// `p % alpha.len()`.
+    fn plane_len(&self, input: &Tensor) -> usize {
+        let inner = if self.alpha.value.len() == 1 {
+            input.len()
+        } else {
+            input.shape()[2..].iter().product()
+        };
+        inner.max(1)
     }
 }
 
@@ -59,24 +60,21 @@ impl Layer for PRelu {
                 input.shape()
             );
         }
+        let inner = self.plane_len(input);
+        let mut out = Tensor::zeros(input.shape().to_vec());
+        let planes = input.data().chunks_exact(inner);
+        let outs = out.data_mut().chunks_exact_mut(inner);
+        for ((plane, out_plane), &a) in planes.zip(outs).zip(self.alpha.value.data().iter().cycle())
+        {
+            for (y, &x) in out_plane.iter_mut().zip(plane) {
+                let ax = a * x;
+                *y = if x > 0.0 { x } else { ax };
+            }
+        }
         if mode == Mode::Train {
             self.cache_input = Some(input.clone());
         }
-        let shape = input.shape().to_vec();
-        let alpha = self.alpha.value.data();
-        let data = input
-            .data()
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                if x > 0.0 {
-                    x
-                } else {
-                    alpha[self.slope_index(&shape, i)] * x
-                }
-            })
-            .collect();
-        Tensor::from_vec(shape, data)
+        out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -84,28 +82,29 @@ impl Layer for PRelu {
             .cache_input
             .take()
             .expect("PRelu::backward called without a training forward pass");
-        let shape = input.shape().to_vec();
-        let alpha = self.alpha.value.data().to_vec();
-        let mut grad_alpha = vec![0.0f32; alpha.len()];
-        let mut grad_in = Tensor::zeros(shape.clone());
-        for (i, ((&x, &g), gi)) in input
-            .data()
-            .iter()
-            .zip(grad_output.data())
-            .zip(grad_in.data_mut())
-            .enumerate()
-        {
-            if x > 0.0 {
-                *gi = g;
-            } else {
-                let s = self.slope_index(&shape, i);
-                *gi = g * alpha[s];
-                grad_alpha[s] += g * x;
+        let inner = self.plane_len(&input);
+        let mut grad_in = Tensor::zeros(input.shape().to_vec());
+        let planes = input.data().chunks_exact(inner);
+        let dys = grad_output.data().chunks_exact(inner);
+        let grads = grad_in.data_mut().chunks_exact_mut(inner);
+        let alpha = self.alpha.value.data().iter().cycle();
+        for (((plane, dy), gi_plane), &a) in planes.zip(dys).zip(grads).zip(alpha) {
+            for ((gi, &g), &x) in gi_plane.iter_mut().zip(dy).zip(plane) {
+                let ga = g * a;
+                *gi = if x > 0.0 { g } else { ga };
             }
         }
-        self.alpha
-            .grad
-            .add_scaled(&Tensor::from_vec(vec![alpha.len()], grad_alpha), 1.0);
+        // Σ g·x over x ≤ 0, per slope, in element order; channelwise
+        // slopes run four at a time. Adding +0.0 where x > 0 leaves each
+        // sum's bits unchanged: it starts at +0.0 and a sum only reaches
+        // −0.0 as −0.0 + −0.0.
+        let slopes = self.alpha.value.len();
+        let grad_alpha = channel_sums(grad_output.data(), input.data(), slopes, inner, |g, x| {
+            [if x > 0.0 { 0.0 } else { g * x }]
+        });
+        for (grad, [ga]) in self.alpha.grad.data_mut().iter_mut().zip(grad_alpha) {
+            *grad += ga;
+        }
         grad_in
     }
 
@@ -190,6 +189,90 @@ mod tests {
             }
         });
         check_layer_gradients(Box::new(PRelu::channelwise(3)), &x, 1e-3, 2e-2);
+    }
+
+    /// Fractional data with every fourth element replaced by +0.0, −0.0,
+    /// a negative or a positive value in turn.
+    fn signed_zero_data(rng: &mut StdRng, shape: Vec<usize>) -> Tensor {
+        let mut x = init::uniform_tensor(rng, shape, -3.0, 3.0);
+        for (i, v) in x.data_mut().iter_mut().enumerate().step_by(4) {
+            *v = [0.0, -0.0, -1.375, 0.625][(i / 4) % 4];
+        }
+        x
+    }
+
+    /// Forward, `grad_in` and the accumulated `alpha.grad` from an
+    /// element-wise loop that finds each element's slope from its flat
+    /// index, adding `g·x` only where `x ≤ 0`.
+    fn elementwise_reference(
+        alpha: &[f32],
+        alpha_grad: &[f32],
+        x: &Tensor,
+        dy: &Tensor,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let shape = x.shape();
+        let slope = |i: usize| {
+            if alpha.len() == 1 {
+                0
+            } else {
+                let inner: usize = shape[2..].iter().product::<usize>().max(1);
+                (i / inner) % shape[1]
+            }
+        };
+        let mut y = vec![0.0f32; x.len()];
+        let mut gi = vec![0.0f32; x.len()];
+        let mut ga = vec![0.0f32; alpha.len()];
+        for (i, (&xv, &g)) in x.data().iter().zip(dy.data()).enumerate() {
+            let s = slope(i);
+            if xv > 0.0 {
+                y[i] = xv;
+                gi[i] = g;
+            } else {
+                y[i] = alpha[s] * xv;
+                gi[i] = g * alpha[s];
+                ga[s] += g * xv;
+            }
+        }
+        let grad = alpha_grad.iter().zip(&ga).map(|(a, b)| a + b).collect();
+        (y, gi, grad)
+    }
+
+    fn bits(x: &[f32]) -> Vec<u32> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn bit_identical_to_elementwise_reference() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let shapes = [
+            vec![5, 3],
+            vec![4, 3, 5, 7],
+            vec![2, 6, 1, 9],
+            vec![3, 1, 4, 4],
+        ];
+        for shape in shapes {
+            let channels = shape[1];
+            for mut p in [PRelu::shared(), PRelu::channelwise(channels)] {
+                let n_alpha = p.params()[0].len();
+                let slopes = init::uniform_tensor(&mut rng, vec![n_alpha], -0.5, 0.5);
+                let prior = init::uniform_tensor(&mut rng, vec![n_alpha], -1.0, 1.0);
+                p.alpha.value = slopes.clone();
+                p.alpha.grad = prior.clone();
+                let x = signed_zero_data(&mut rng, shape.clone());
+                let dy = init::uniform_tensor(&mut rng, shape.clone(), -2.0, 2.0);
+                let (want_y, want_gi, want_ga) =
+                    elementwise_reference(slopes.data(), prior.data(), &x, &dy);
+
+                let y = p.forward(&x, Mode::Train);
+                let gi = p.backward(&dy);
+                let what = format!("{shape:?}, {n_alpha} slopes");
+                assert_eq!(bits(y.data()), bits(&want_y), "forward {what}");
+                assert_eq!(bits(gi.data()), bits(&want_gi), "grad_in {what}");
+                assert_eq!(bits(p.alpha.grad.data()), bits(&want_ga), "alpha {what}");
+                let eval = p.forward(&x, Mode::Eval);
+                assert_eq!(bits(eval.data()), bits(&want_y), "eval {what}");
+            }
+        }
     }
 
     #[test]

@@ -66,6 +66,7 @@ pub mod loss;
 pub mod lowering;
 pub mod net;
 pub mod optim;
+mod planes;
 pub mod serialize;
 pub mod tensor;
 

@@ -10,6 +10,8 @@
 //!
 //! [`Conv2d`]: crate::layers::Conv2d
 
+use std::ops::Range;
+
 /// Geometry of one lowered convolution: input plane, kernel, stride and
 /// symmetric zero padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,10 +68,29 @@ impl ConvGeom {
     }
 }
 
+/// The output positions `o` in `0..outs` whose input coordinate
+/// `o·stride + tap − pad` lies in `0..len`, and the input coordinate of
+/// the first of them (0 when there is none).
+fn span(len: usize, outs: usize, tap: usize, stride: usize, pad: usize) -> (Range<usize>, usize) {
+    // o·stride ≥ pad − tap
+    let lo = pad.saturating_sub(tap).div_ceil(stride);
+    // o·stride ≤ len − 1 + pad − tap
+    let hi = (len + pad)
+        .checked_sub(tap + 1)
+        .map_or(0, |last| (last / stride + 1).min(outs));
+    if lo < hi {
+        (lo..hi, lo * stride + tap - pad)
+    } else {
+        (0..0, 0)
+    }
+}
+
 /// Lowers one `(C, H, W)` sample into the `(C·K·K, OH·OW)` column matrix.
 ///
 /// Every element of `col` is written (out-of-bounds taps become zero), so
-/// the buffer may be reused across calls without clearing.
+/// the buffer may be reused across calls without clearing. Each kernel
+/// tap's in-bounds output range is computed once; rows are copied in
+/// bulk and the padding border is zero-filled around them.
 ///
 /// # Panics
 ///
@@ -77,35 +98,37 @@ impl ConvGeom {
 pub fn im2col(g: &ConvGeom, sample: &[f32], col: &mut [f32]) {
     assert_eq!(sample.len(), g.sample_len(), "im2col input length");
     assert_eq!(col.len(), g.col_rows() * g.col_cols(), "im2col col length");
-    let (k, s) = (g.kernel, g.stride);
+    let (k, s, pad) = (g.kernel, g.stride, g.pad);
     let (h, w) = (g.height, g.width);
     let (out_h, out_w) = (g.out_h(), g.out_w());
-    let pad = g.pad as isize;
-    let ow_len = out_h * out_w;
-    for ci in 0..g.channels {
-        let plane = &sample[ci * h * w..(ci + 1) * h * w];
+    if h * w == 0 {
+        col.fill(0.0);
+        return;
+    }
+    let mut rows = col.chunks_exact_mut(out_h * out_w);
+    for plane in sample.chunks_exact(h * w) {
         for ky in 0..k {
+            let (oys, iy0) = span(h, out_h, ky, s, pad);
             for kx in 0..k {
-                let row_idx = (ci * k + ky) * k + kx;
-                let dst = &mut col[row_idx * ow_len..(row_idx + 1) * ow_len];
-                for oy in 0..out_h {
-                    let iy = (oy * s) as isize + ky as isize - pad;
-                    let dst_row = &mut dst[oy * out_w..(oy + 1) * out_w];
-                    if iy < 0 || iy >= h as isize {
-                        dst_row.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                    // Explicit indices: ox maps to a *shifted, strided*
-                    // source column, which iterator adapters would obscure.
-                    #[allow(clippy::needless_range_loop)]
-                    for ox in 0..out_w {
-                        let ix = (ox * s) as isize + kx as isize - pad;
-                        dst_row[ox] = if ix >= 0 && ix < w as isize {
-                            src_row[ix as usize]
-                        } else {
-                            0.0
-                        };
+                let (oxs, ix0) = span(w, out_w, kx, s, pad);
+                let dst = rows.next().expect("one column row per tap");
+                let (above, rest) = dst.split_at_mut(oys.start * out_w);
+                let (mid, below) = rest.split_at_mut(oys.len() * out_w);
+                above.fill(0.0);
+                below.fill(0.0);
+                let src_rows = plane.chunks_exact(w).skip(iy0).step_by(s);
+                for (dst_row, src_row) in mid.chunks_exact_mut(out_w).zip(src_rows) {
+                    let (left, rest) = dst_row.split_at_mut(oxs.start);
+                    let (inside, right) = rest.split_at_mut(oxs.len());
+                    left.fill(0.0);
+                    right.fill(0.0);
+                    let src = &src_row[ix0..];
+                    if s == 1 {
+                        inside.copy_from_slice(&src[..inside.len()]);
+                    } else {
+                        for (d, &x) in inside.iter_mut().zip(src.iter().step_by(s)) {
+                            *d = x;
+                        }
                     }
                 }
             }
@@ -115,7 +138,9 @@ pub fn im2col(g: &ConvGeom, sample: &[f32], col: &mut [f32]) {
 
 /// Scatters a `(C·K·K, OH·OW)` column-matrix gradient back onto a
 /// `(C, H, W)` input gradient, accumulating overlapping taps — the exact
-/// adjoint of [`im2col`].
+/// adjoint of [`im2col`]. Each input element receives its additions in
+/// tap-then-output order, so the result does not depend on how the
+/// in-bounds ranges are found.
 ///
 /// # Panics
 ///
@@ -123,29 +148,31 @@ pub fn im2col(g: &ConvGeom, sample: &[f32], col: &mut [f32]) {
 pub fn col2im_add(g: &ConvGeom, col: &[f32], grad_sample: &mut [f32]) {
     assert_eq!(grad_sample.len(), g.sample_len(), "col2im output length");
     assert_eq!(col.len(), g.col_rows() * g.col_cols(), "col2im col length");
-    let (k, s) = (g.kernel, g.stride);
+    let (k, s, pad) = (g.kernel, g.stride, g.pad);
     let (h, w) = (g.height, g.width);
     let (out_h, out_w) = (g.out_h(), g.out_w());
-    let pad = g.pad as isize;
-    let ow_len = out_h * out_w;
-    for ci in 0..g.channels {
-        let plane = &mut grad_sample[ci * h * w..(ci + 1) * h * w];
+    if h * w == 0 {
+        return;
+    }
+    let mut rows = col.chunks_exact(out_h * out_w);
+    for plane in grad_sample.chunks_exact_mut(h * w) {
         for ky in 0..k {
+            let (oys, iy0) = span(h, out_h, ky, s, pad);
             for kx in 0..k {
-                let row_idx = (ci * k + ky) * k + kx;
-                let src = &col[row_idx * ow_len..(row_idx + 1) * ow_len];
-                for oy in 0..out_h {
-                    let iy = (oy * s) as isize + ky as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let dst_row = &mut plane[iy as usize * w..(iy as usize + 1) * w];
-                    let src_row = &src[oy * out_w..(oy + 1) * out_w];
-                    #[allow(clippy::needless_range_loop)]
-                    for ox in 0..out_w {
-                        let ix = (ox * s) as isize + kx as isize - pad;
-                        if ix >= 0 && ix < w as isize {
-                            dst_row[ix as usize] += src_row[ox];
+                let (oxs, ix0) = span(w, out_w, kx, s, pad);
+                let src = rows.next().expect("one column row per tap");
+                let mid = &src[oys.start * out_w..oys.end * out_w];
+                let dst_rows = plane.chunks_exact_mut(w).skip(iy0).step_by(s);
+                for (src_row, dst_row) in mid.chunks_exact(out_w).zip(dst_rows) {
+                    let inside = &src_row[oxs.clone()];
+                    let dst = &mut dst_row[ix0..];
+                    if s == 1 {
+                        for (d, &v) in dst.iter_mut().zip(inside) {
+                            *d += v;
+                        }
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(s).zip(inside) {
+                            *d += v;
                         }
                     }
                 }

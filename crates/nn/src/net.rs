@@ -53,8 +53,12 @@ impl Sequential {
 
     /// Runs the input through every layer in order.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input, mode);
+        for layer in layers {
             x = layer.forward(&x, mode);
         }
         x
@@ -68,8 +72,12 @@ impl Sequential {
     ///
     /// Panics if the most recent forward pass was not in [`Mode::Train`].
     pub fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let mut layers = self.layers.iter_mut().rev();
+        let Some(last) = layers.next() else {
+            return grad_output.clone();
+        };
+        let mut g = last.backward(grad_output);
+        for layer in layers {
             g = layer.backward(&g);
         }
         g

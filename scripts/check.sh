@@ -1,6 +1,6 @@
 #!/bin/bash
-# Pre-merge gate: formatting, lints, release build, benchmark build, full
-# test suite.
+# Pre-merge gate: formatting, lints, release build, benchmark build and
+# smoke test, full test suite.
 # Usage: scripts/check.sh [--quick]
 #   --quick   skip the workspace release build (CI runs it as a separate
 #             job); the benchmark build still runs
@@ -46,6 +46,13 @@ fi
 echo "== perfbench build =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# The benchmark's smoke test (~15 s) runs every workload's correctness
+# checks and its nn-mirror checks (the mirrored flux CNN must match
+# FluxCnn's output and layer shapes), so a change that breaks what the
+# benchmark measures fails before merge, not when the benchmark runs.
+echo "== perfbench smoke test =="
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test =="
 cargo test --workspace -q
 
@@ -60,5 +67,10 @@ cargo test -q --test golden
 # survival, schedule invariants) must run even if default-members shift.
 echo "== property suite =="
 cargo test -q --test properties
+
+# And the lowering/GEMM/conv-backend properties, including the bit-identity
+# pins of im2col/col2im_add and GEMM on fractional data.
+echo "== conv property suite =="
+cargo test -q --test conv_props
 
 echo "ALL CHECKS PASSED"

@@ -4,9 +4,10 @@
 //! Most inputs are *integer-valued* floats: every product and partial sum
 //! is exactly representable in `f32`, so the lowered (im2col + GEMM) and
 //! naive convolution paths must agree to full precision regardless of
-//! summation order — far inside the 1e-10 equivalence budget. The GEMM
-//! bit-identity property uses non-integer data instead, so that any
-//! change to the order of the `k` sum shows.
+//! summation order — far inside the 1e-10 equivalence budget. The
+//! bit-identity properties (lowering against its per-element oracles,
+//! GEMM against the naive loop) use non-integer data instead, so that any
+//! change to the order of a sum shows.
 
 use proptest::prelude::*;
 
@@ -60,6 +61,60 @@ fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 
 fn bits(x: &[f32]) -> Vec<u32> {
     x.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The per-element `im2col` the lowering replaced: every output column
+/// tests its input coordinate. Kept as the bit-level oracle.
+fn im2col_oracle(g: &ConvGeom, sample: &[f32]) -> Vec<f32> {
+    let (k, s, h, w) = (g.kernel, g.stride, g.height, g.width);
+    let (out_h, out_w) = (g.out_h(), g.out_w());
+    let pad = g.pad as isize;
+    let mut col = vec![f32::NAN; g.col_rows() * g.col_cols()];
+    for ci in 0..g.channels {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (ci * k + ky) * k + kx;
+                for oy in 0..out_h {
+                    for ox in 0..out_w {
+                        let iy = (oy * s) as isize + ky as isize - pad;
+                        let ix = (ox * s) as isize + kx as isize - pad;
+                        let inside = iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize;
+                        col[(row * out_h + oy) * out_w + ox] = if inside {
+                            sample[(ci * h + iy as usize) * w + ix as usize]
+                        } else {
+                            0.0
+                        };
+                    }
+                }
+            }
+        }
+    }
+    col
+}
+
+/// The per-element `col2im_add` the lowering replaced, in the same
+/// tap-then-output order. Kept as the bit-level oracle.
+fn col2im_add_oracle(g: &ConvGeom, col: &[f32], grad_sample: &mut [f32]) {
+    let (k, s, h, w) = (g.kernel, g.stride, g.height, g.width);
+    let (out_h, out_w) = (g.out_h(), g.out_w());
+    let pad = g.pad as isize;
+    for ci in 0..g.channels {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (ci * k + ky) * k + kx;
+                for oy in 0..out_h {
+                    for ox in 0..out_w {
+                        let iy = (oy * s) as isize + ky as isize - pad;
+                        let ix = (ox * s) as isize + kx as isize - pad;
+                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                            grad_sample[(ci * h + iy as usize) * w + ix as usize] +=
+                                col[(row * out_h + oy) * out_w + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -135,6 +190,37 @@ proptest! {
         let lhs: f64 = cx.iter().zip(&y).map(|(a, b)| f64::from(a * b)).sum();
         let rhs: f64 = x.iter().zip(&cty).map(|(a, b)| f64::from(a * b)).sum();
         prop_assert!((lhs - rhs).abs() < 1e-10, "⟨Ax,y⟩={} vs ⟨x,Aᵀy⟩={}", lhs, rhs);
+    }
+
+    /// `im2col` and `col2im_add` match the per-element oracles bit for
+    /// bit on fractional data: `col2im_add` accumulates into a pre-filled
+    /// non-zero gradient, so any change to the order of the additions
+    /// shows. Strides, padding and kernels past the plane edges, on
+    /// non-square planes.
+    #[test]
+    fn lowering_is_bit_identical_to_per_element_oracle(
+        channels in 1usize..4,
+        height in 1usize..10,
+        width in 1usize..10,
+        kernel in 1usize..6,
+        stride in 1usize..4,
+        pad in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        prop_assume!(height + 2 * pad >= kernel && width + 2 * pad >= kernel);
+        let g = ConvGeom { channels, height, width, kernel, stride, pad };
+        let x = frac_data(g.sample_len(), seed);
+        let mut col = vec![f32::NAN; g.col_rows() * g.col_cols()];
+        im2col(&g, &x, &mut col);
+        prop_assert_eq!(bits(&col), bits(&im2col_oracle(&g, &x)), "im2col {:?}", g);
+
+        let dcol = frac_data(col.len(), seed ^ 0xC01);
+        let init = frac_data(g.sample_len(), seed ^ 0x1A1);
+        let mut want = init.clone();
+        col2im_add_oracle(&g, &dcol, &mut want);
+        let mut got = init;
+        col2im_add(&g, &dcol, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want), "col2im_add {:?}", g);
     }
 
     // ---- GEMM vs naive ----
