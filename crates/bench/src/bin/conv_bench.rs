@@ -15,12 +15,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use snia_bench::{progress, Table};
+use snia_bench::{host_info, progress, HostInfo, Table};
 use snia_core::joint::JointModel;
 use snia_core::train::{joint_examples, train_joint, ClassifierTrainConfig};
 use snia_core::ExperimentConfig;
 use snia_dataset::Dataset;
-use snia_nn::gemm::{gemm_nn, gemm_nt, gemm_tn, kernel_name};
+use snia_nn::gemm::{gemm_nn, gemm_nt, gemm_tn};
 use snia_nn::init;
 use snia_nn::layers::{Conv2d, ConvBackend, Padding};
 use snia_nn::{Layer, Mode, Tensor};
@@ -44,15 +44,6 @@ struct GemmTiming {
 }
 
 #[derive(Serialize)]
-struct HostInfo {
-    nproc: usize,
-    avx2: bool,
-    avx512f: bool,
-    fma: bool,
-    gemm_kernel: String,
-}
-
-#[derive(Serialize)]
 struct ThreadTiming {
     threads: usize,
     samples_per_sec: f64,
@@ -71,24 +62,6 @@ struct ConvBenchResult {
     forward_backward_speedup: f64,
     joint_training: Vec<ThreadTiming>,
     note: String,
-}
-
-fn host_info() -> HostInfo {
-    #[cfg(target_arch = "x86_64")]
-    let (avx2, avx512f, fma) = (
-        is_x86_feature_detected!("avx2"),
-        is_x86_feature_detected!("avx512f"),
-        is_x86_feature_detected!("fma"),
-    );
-    #[cfg(not(target_arch = "x86_64"))]
-    let (avx2, avx512f, fma) = (false, false, false);
-    HostInfo {
-        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        avx2,
-        avx512f,
-        fma,
-        gemm_kernel: kernel_name().into(),
-    }
 }
 
 type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);

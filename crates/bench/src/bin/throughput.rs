@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use snia_bench::{progress, write_json, Table};
+use snia_bench::{host_info, progress, write_json, HostInfo, Table};
 use snia_core::joint::JointModel;
 use snia_core::train::{feature_matrix, joint_batch, joint_examples, joint_scores};
 use snia_core::{ExperimentConfig, LightCurveClassifier};
@@ -52,6 +52,7 @@ struct ServeModeResult {
 
 #[derive(Serialize)]
 struct ServeBenchResult {
+    host: HostInfo,
     max_wait_ms: u64,
     classifier: ServeModeResult,
     joint: ServeModeResult,
@@ -209,6 +210,7 @@ fn bench_serve(ds: &Dataset, seed: u64) -> ServeBenchResult {
     );
 
     ServeBenchResult {
+        host: host_info(),
         max_wait_ms: MAX_WAIT.as_millis() as u64,
         classifier,
         joint,

@@ -38,5 +38,5 @@ pub mod report;
 pub mod telemetry_setup;
 
 pub use plot::{Chart, Series};
-pub use report::{results_dir, write_json, Table};
+pub use report::{host_info, results_dir, write_json, HostInfo, Table};
 pub use telemetry_setup::{init_telemetry, TelemetryGuard};

@@ -68,6 +68,41 @@ impl Table {
     }
 }
 
+/// The machine a `BENCH_*.json` was measured on: its core count, the SIMD
+/// features the CPU reports, and the GEMM micro-kernel that ran.
+#[derive(Debug, Clone, Serialize)]
+pub struct HostInfo {
+    /// Cores available to this process.
+    pub nproc: usize,
+    /// AVX2 support.
+    pub avx2: bool,
+    /// AVX-512F support.
+    pub avx512f: bool,
+    /// FMA support.
+    pub fma: bool,
+    /// [`snia_nn::gemm::kernel_name`].
+    pub gemm_kernel: String,
+}
+
+/// Describes this machine for a benchmark record.
+pub fn host_info() -> HostInfo {
+    #[cfg(target_arch = "x86_64")]
+    let (avx2, avx512f, fma) = (
+        is_x86_feature_detected!("avx2"),
+        is_x86_feature_detected!("avx512f"),
+        is_x86_feature_detected!("fma"),
+    );
+    #[cfg(not(target_arch = "x86_64"))]
+    let (avx2, avx512f, fma) = (false, false, false);
+    HostInfo {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        avx2,
+        avx512f,
+        fma,
+        gemm_kernel: snia_nn::gemm::kernel_name().into(),
+    }
+}
+
 /// Resolves the `results/` directory (workspace root), creating it if
 /// needed. `SNIA_RESULTS_DIR` overrides the location.
 pub fn results_dir() -> PathBuf {

@@ -177,7 +177,7 @@ impl InputSpec {
                         f.len()
                     ));
                 }
-                Ok(())
+                finite("features", f)
             }
             (ModelKind::Classifier, RequestInput::Cutouts { .. }) => {
                 bad("this bundle serves feature requests, not cutouts".into())
@@ -194,12 +194,24 @@ impl InputSpec {
                 if dates.len() != 5 {
                     return bad(format!("expected 5 dates, got {}", dates.len()));
                 }
-                Ok(())
+                finite("pixels", images)?;
+                finite("dates", dates)
             }
             (ModelKind::Joint, RequestInput::Features(_)) => {
                 bad("this bundle serves cutout requests, not feature rows".into())
             }
         }
+    }
+}
+
+/// Rejects a NaN or infinite input value, which the model would turn into
+/// a meaningless score.
+fn finite(what: &str, values: &[f32]) -> Result<(), ServeError> {
+    match values.iter().position(|v| !v.is_finite()) {
+        Some(i) => Err(ServeError::BadRequest {
+            reason: format!("{what} must be finite, got {} at index {i}", values[i]),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -429,7 +441,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use snia_core::LightCurveClassifier;
+    use snia_core::{JointModel, LightCurveClassifier};
     use std::time::Duration;
 
     fn tiny_model(seed: u64) -> ServedModel {
@@ -517,6 +529,58 @@ mod tests {
             engine.submit(cutout),
             Err(ServeError::BadRequest { .. })
         ));
+        engine.shutdown();
+    }
+
+    #[test]
+    fn non_finite_inputs_are_rejected_at_submit() {
+        let engine = Engine::start(tiny_model(3), EngineConfig::default());
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut req = feature_request(1, 5);
+            let RequestInput::Features(f) = &mut req.input else {
+                unreachable!()
+            };
+            f[4] = bad;
+            match engine.submit(req) {
+                Err(ServeError::BadRequest { reason }) => {
+                    assert!(reason.contains("features must be finite"), "{reason}")
+                }
+                other => panic!("expected BadRequest, got {other:?}"),
+            }
+        }
+        assert!(engine.score(feature_request(2, 5)).is_ok());
+        engine.shutdown();
+
+        let crop = 16;
+        let mut rng = StdRng::seed_from_u64(6);
+        let joint = ServedModel::Joint(JointModel::from_scratch(crop, 8, &mut rng));
+        let engine = Engine::start(joint, EngineConfig::default());
+        let cutout = |pixel: f32, date: f32| {
+            let mut images = vec![0.25; 5 * crop * crop];
+            images[crop] = pixel;
+            Request {
+                id: 3,
+                input: RequestInput::Cutouts {
+                    images,
+                    dates: vec![0.1, 0.2, date, 0.4, 0.5],
+                },
+            }
+        };
+        for (req, what) in [
+            (cutout(f32::NAN, 0.3), "pixels"),
+            (cutout(0.0, f32::INFINITY), "dates"),
+        ] {
+            match engine.submit(req) {
+                Err(ServeError::BadRequest { reason }) => {
+                    assert!(
+                        reason.contains(&format!("{what} must be finite")),
+                        "{reason}"
+                    )
+                }
+                other => panic!("expected BadRequest, got {other:?}"),
+            }
+        }
+        assert!(engine.score(cutout(0.0, 0.3)).is_ok());
         engine.shutdown();
     }
 

@@ -26,9 +26,11 @@ use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
 use std::time::Instant;
 
-use serde::Value;
+mod decode;
 
-use crate::engine::{Engine, Request, RequestInput, Response, ServeError, Ticket};
+pub use decode::parse_request_line;
+
+use crate::engine::{Engine, Response, ServeError, Ticket};
 
 /// Errors from streaming JSONL through the engine.
 #[derive(Debug)]
@@ -72,46 +74,6 @@ impl From<io::Error> for WireError {
     fn from(e: io::Error) -> Self {
         WireError::Io(e)
     }
-}
-
-fn f32_array(v: &Value, key: &str) -> Result<Vec<f32>, String> {
-    let arr = v
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("\"{key}\" must be an array of numbers"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_f64()
-                .map(|f| f as f32)
-                .ok_or_else(|| format!("\"{key}\" must contain only numbers"))
-        })
-        .collect()
-}
-
-/// Parses one JSONL request line.
-///
-/// # Errors
-///
-/// Returns a human-readable reason when the line is not valid JSON, lacks
-/// a numeric `"id"`, or carries neither `"features"` nor
-/// `"images"`+`"dates"`.
-pub fn parse_request_line(line: &str) -> Result<Request, String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("invalid json: {e}"))?;
-    let id = value
-        .get("id")
-        .and_then(Value::as_u64)
-        .ok_or("missing or non-integer \"id\"")?;
-    let input = if value.get("features").is_some() {
-        RequestInput::Features(f32_array(&value, "features")?)
-    } else if value.get("images").is_some() || value.get("dates").is_some() {
-        RequestInput::Cutouts {
-            images: f32_array(&value, "images")?,
-            dates: f32_array(&value, "dates")?,
-        }
-    } else {
-        return Err("request needs \"features\" or \"images\"+\"dates\"".into());
-    };
-    Ok(Request { id, input })
 }
 
 /// Renders one response as a JSONL line (no trailing newline).
@@ -221,9 +183,10 @@ pub fn serve_lines(
 mod tests {
     use super::*;
     use crate::bundle::ServedModel;
-    use crate::engine::EngineConfig;
+    use crate::engine::{EngineConfig, RequestInput};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use serde::Value;
     use snia_core::LightCurveClassifier;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -350,6 +313,88 @@ mod tests {
         assert!(parse_request_line("{\"features\": [1]}").is_err()); // no id
         assert!(parse_request_line("{\"id\": 1}").is_err()); // no payload
         assert!(parse_request_line("{\"id\": 1, \"features\": [\"x\"]}").is_err());
+    }
+
+    #[test]
+    fn decoding_keeps_the_json_value_semantics() {
+        let features = |line: &str| match parse_request_line(line).unwrap().input {
+            RequestInput::Features(f) => f.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            other => panic!("not features: {other:?}"),
+        };
+        let via_f64 = |text: &str| (text.parse::<f64>().unwrap() as f32).to_bits();
+        // Integer tokens go through i64, so -0 is +0.0; -0.0 is a float.
+        assert_eq!(
+            features("{\"id\":1,\"features\":[-0,-0.0,0]}"),
+            [0.0f32.to_bits(), (-0.0f32).to_bits(), 0.0f32.to_bits()]
+        );
+        // Exact-path and general-path tokens both round through f64.
+        let tokens = [
+            "0.1",
+            "-2.5",
+            "0.123456789012345",
+            "1.0000000000000002",
+            "1e-7",
+            "2E+3",
+        ];
+        let line = format!("{{\"id\":1,\"features\":[{}]}}", tokens.join(","));
+        let want: Vec<u32> = tokens.iter().map(|t| via_f64(t)).collect();
+        assert_eq!(features(&line), want);
+        // The first occurrence of a key wins, escaped keys match, unknown
+        // keys are skipped.
+        let r = parse_request_line(
+            "{\"\\u0069d\":5,\"id\":6,\"x\":{\"features\":[9]},\"features\":[1],\"features\":[2]}",
+        )
+        .unwrap();
+        assert_eq!(r.id, 5);
+        assert_eq!(r.input, RequestInput::Features(vec![1.0]));
+        // A syntax error anywhere beats a shape error.
+        let err = parse_request_line("{\"id\":\"x\",\"features\":[1]} x").unwrap_err();
+        assert!(
+            err.starts_with("invalid json: trailing characters"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn nesting_deeper_than_128_levels_is_invalid_json() {
+        // The request object is level 1.
+        let nested = |depth: usize| {
+            format!(
+                "{{\"id\":1,\"features\":[],\"x\":{}{}}}",
+                "[".repeat(depth - 1),
+                "]".repeat(depth - 1)
+            )
+        };
+        assert!(parse_request_line(&nested(128)).is_ok());
+        let err = parse_request_line(&nested(129)).unwrap_err();
+        assert!(err.starts_with("invalid json: recursion limit"), "{err}");
+    }
+
+    #[test]
+    fn serve_lines_rejects_a_megabyte_of_brackets() {
+        let engine = classifier_engine(16);
+        let line = "[".repeat(1 << 20);
+        let err = serve_lines(&engine, line.as_bytes(), &mut Vec::new()).unwrap_err();
+        engine.shutdown();
+        assert!(
+            matches!(err, WireError::Parse { line: 1, .. }),
+            "unexpected error: {err}"
+        );
+    }
+
+    #[test]
+    fn serve_lines_rejects_an_infinite_feature() {
+        let engine = classifier_engine(16);
+        let mut input = request_lines(1)[0].replace("[0,", "[1e400,");
+        assert!(input.contains("1e400"), "{input}");
+        input.insert_str(0, &request_lines(1)[0]);
+        let mut out = Vec::new();
+        let err = serve_lines(&engine, input.as_bytes(), &mut out).unwrap_err();
+        engine.shutdown();
+        assert!(
+            matches!(err, WireError::Serve(ServeError::BadRequest { .. })),
+            "unexpected error: {err}"
+        );
     }
 
     #[test]

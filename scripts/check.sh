@@ -73,4 +73,8 @@ cargo test -q --test properties
 echo "== conv property suite =="
 cargo test -q --test conv_props
 
+# And the request decoder against its serde_json::Value oracle.
+echo "== wire property suite =="
+cargo test -q --test wire_props
+
 echo "ALL CHECKS PASSED"
