@@ -10,7 +10,7 @@ use snia_core::eval::auc;
 use snia_core::flux_cnn::{FluxCnn, PoolKind};
 use snia_dataset::{Dataset, DatasetConfig};
 use snia_nn::init;
-use snia_nn::layers::{BatchNorm2d, Conv2d, ConvBackend, MaxPool2d, Padding};
+use snia_nn::layers::{BatchNorm2d, Conv2d, MaxPool2d, Padding};
 use snia_nn::{Layer, Mode, Tensor};
 use snia_skysim::{render_cutout, CutoutSpec, Image, ObservingConditions, Psf};
 
@@ -53,37 +53,6 @@ fn bench_conv_train_step(c: &mut Criterion) {
         });
     });
     group.finish();
-}
-
-fn bench_conv_backends(c: &mut Criterion) {
-    // The paper's input geometry: 65×65 difference cutouts, 5×5 kernels.
-    // Same layer, same data — only the backend differs, so the ratio is the
-    // im2col/GEMM speedup reported in BENCH_conv.json and EXPERIMENTS.md.
-    let mut rng = StdRng::seed_from_u64(6);
-    let x = init::randn_tensor(&mut rng, vec![5, 1, 65, 65], 1.0);
-    for (name, backend) in [
-        ("im2col_gemm", ConvBackend::Im2colGemm),
-        ("naive", ConvBackend::NaiveReference),
-    ] {
-        let mut conv = Conv2d::new(1, 5, 5, Padding::Valid, &mut rng);
-        conv.set_backend(backend);
-        let mut fwd = c.benchmark_group("conv_forward_65x65");
-        fwd.sample_size(10);
-        fwd.bench_function(name, |bch| {
-            bch.iter(|| std::hint::black_box(conv.forward(&x, Mode::Eval)));
-        });
-        fwd.finish();
-        let mut bwd = c.benchmark_group("conv_backward_65x65");
-        bwd.sample_size(10);
-        bwd.bench_function(name, |bch| {
-            bch.iter(|| {
-                let y = conv.forward(&x, Mode::Train);
-                let g = Tensor::ones(y.shape().to_vec());
-                std::hint::black_box(conv.backward(&g))
-            });
-        });
-        bwd.finish();
-    }
 }
 
 fn bench_pool_and_bn(c: &mut Criterion) {
@@ -203,7 +172,6 @@ criterion_group!(
     bench_matmul,
     bench_conv_forward,
     bench_conv_train_step,
-    bench_conv_backends,
     bench_pool_and_bn,
     bench_flux_cnn_inference,
     bench_rendering,

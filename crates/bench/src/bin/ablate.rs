@@ -18,17 +18,17 @@ use snia_bench::{progress, write_json, Table};
 use snia_core::classifier::LightCurveClassifier;
 use snia_core::eval::auc;
 use snia_core::flux_cnn::{FluxCnn, PoolKind};
-use snia_core::input::batch_pairs_with;
+use snia_core::input::mag_to_target;
 use snia_core::train::{
     classifier_scores, feature_matrix, flux_pair_refs, train_classifier, ClassifierTrainConfig,
 };
 use snia_core::{ExperimentConfig, Model};
-use snia_dataset::{split_indices, Dataset};
+use snia_dataset::{split_indices, stamp_pixels, Dataset};
 use snia_lightcurve::Band;
 use snia_nn::layers::{Linear, Relu};
 use snia_nn::loss::{bce_with_logits, mse_loss, sigmoid_probs};
 use snia_nn::optim::{Adam, Optimizer};
-use snia_nn::{Mode, Sequential};
+use snia_nn::{Mode, Sequential, Tensor};
 
 const CROP: usize = 36;
 
@@ -42,6 +42,28 @@ struct AblateResult {
     plain_fc_auc: f64,
     shared_cnn_val_mse: f64,
     per_band_cnn_val_mse: f64,
+}
+
+/// Batches `(sample, observation)` refs into an `(N, 1, CROP, CROP)` input
+/// and an `(N, 1)` magnitude target, with the log stretch optional.
+fn stamp_batch(
+    ds: &Dataset,
+    refs: impl ExactSizeIterator<Item = (usize, usize)>,
+    log_stretch: bool,
+) -> (Tensor, Tensor) {
+    let n = refs.len();
+    let mut x = Vec::with_capacity(n * CROP * CROP);
+    let mut t = Vec::with_capacity(n);
+    for (si, oi) in refs {
+        let s = &ds.samples[si];
+        x.extend_from_slice(&stamp_pixels(s, oi, CROP, log_stretch));
+        let (band, mjd) = s.schedule.observations[oi];
+        t.push(mag_to_target(s.true_mag(band, mjd)));
+    }
+    (
+        Tensor::from_vec(vec![n, 1, CROP, CROP], x),
+        Tensor::from_vec(vec![n, 1], t),
+    )
 }
 
 /// A minimal flux-CNN training loop with configurable input transform,
@@ -62,15 +84,7 @@ fn train_flux_variant(
     for _ in 0..epochs {
         order.shuffle(&mut rng);
         for chunk in order.chunks(16) {
-            let pairs: Vec<_> = chunk
-                .iter()
-                .map(|&i| {
-                    let (si, oi) = train_refs[i];
-                    ds.samples[si].flux_pair(oi)
-                })
-                .collect();
-            let refs: Vec<&_> = pairs.iter().collect();
-            let (x, t) = batch_pairs_with(&refs, CROP, log_stretch);
+            let (x, t) = stamp_batch(ds, chunk.iter().map(|&i| train_refs[i]), log_stretch);
             let y = cnn.forward(&x, Mode::Train);
             let (_, grad) = mse_loss(&y, &t);
             cnn.zero_grad();
@@ -82,12 +96,7 @@ fn train_flux_variant(
     let mut loss_sum = 0.0;
     let mut n = 0usize;
     for chunk in val_refs.chunks(32) {
-        let pairs: Vec<_> = chunk
-            .iter()
-            .map(|&(si, oi)| ds.samples[si].flux_pair(oi))
-            .collect();
-        let refs: Vec<&_> = pairs.iter().collect();
-        let (x, t) = batch_pairs_with(&refs, CROP, log_stretch);
+        let (x, t) = stamp_batch(ds, chunk.iter().copied(), log_stretch);
         let y = cnn.forward(&x, Mode::Eval);
         let (loss, _) = mse_loss(&y, &t);
         loss_sum += f64::from(loss) * chunk.len() as f64;
@@ -170,8 +179,8 @@ fn plain_classifier_auc(
                 xb.extend_from_slice(&xt.data()[i * 10..(i + 1) * 10]);
                 tb.push(tt.data()[i]);
             }
-            let xb = snia_nn::Tensor::from_vec(vec![chunk.len(), 10], xb);
-            let tb = snia_nn::Tensor::from_vec(vec![chunk.len(), 1], tb);
+            let xb = Tensor::from_vec(vec![chunk.len(), 10], xb);
+            let tb = Tensor::from_vec(vec![chunk.len(), 1], tb);
             let y = net.forward(&xb, Mode::Train);
             let (_, grad) = bce_with_logits(&y, &tb);
             net.zero_grad();

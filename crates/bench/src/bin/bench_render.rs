@@ -4,7 +4,8 @@
 //! output by construction, so this is pure wall-clock — and (2) one
 //! training epoch's worth of stamp rendering on the paper's 65×65
 //! geometry, uncached vs. a cold cache fill vs. warm (memory) and warm
-//! (disk) re-reads. Writes `BENCH_render.json` at the workspace root.
+//! (disk) re-reads. Writes `BENCH_render.json` at the workspace root,
+//! with the host's core count, SIMD flags and GEMM micro-kernel.
 //!
 //! Run with `cargo run --release -p snia-bench --bin bench_render`.
 
@@ -12,7 +13,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use snia_bench::{progress, Table};
+use snia_bench::{host_info, progress, HostInfo, Table};
 use snia_core::ExperimentConfig;
 use snia_dataset::cache;
 use snia_dataset::{Dataset, DatasetConfig};
@@ -36,6 +37,7 @@ struct EpochTiming {
 
 #[derive(Serialize)]
 struct RenderBenchResult {
+    host: HostInfo,
     samples: usize,
     stamps_per_epoch: usize,
     crop: usize,
@@ -44,7 +46,6 @@ struct RenderBenchResult {
     cache_hits: u64,
     cache_misses: u64,
     cache_bytes_written: u64,
-    cpu_cores: usize,
     note: String,
 }
 
@@ -72,7 +73,7 @@ fn main() {
         catalog_size: cfg.dataset.catalog_size.min(2000),
         seed: cfg.seed,
     };
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host = host_info();
     let mut generation = Vec::new();
     let mut base_secs = 0.0;
     let mut gen_table = Table::new(vec!["threads", "seconds", "speedup"]);
@@ -101,8 +102,8 @@ fn main() {
         });
     }
     gen_table.print(&format!(
-        "Dataset::generate_with_threads, {} samples ({cores} CPU core(s) available)",
-        gen_cfg.n_samples
+        "Dataset::generate_with_threads, {} samples ({} CPU core(s) available)",
+        gen_cfg.n_samples, host.nproc
     ));
 
     // --- render cache: one epoch of flux-CNN stamps ---
@@ -162,6 +163,7 @@ fn main() {
     );
 
     let result = RenderBenchResult {
+        host,
         samples: gen_cfg.n_samples,
         stamps_per_epoch: refs.len(),
         crop: CROP,
@@ -170,7 +172,6 @@ fn main() {
         cache_hits: after.hits - before.hits,
         cache_misses: after.misses - before.misses,
         cache_bytes_written: after.bytes_written - before.bytes_written,
-        cpu_cores: cores,
         note: "generation speedups are bounded by the physical core count; warm-epoch \
                passes skip the PSF render entirely and are dominated by memcpy (memory) \
                or read+CRC (disk)"

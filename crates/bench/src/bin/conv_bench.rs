@@ -1,11 +1,9 @@
-//! Convolution backend + batch-executor benchmark.
+//! Convolution GEMM + batch-executor benchmark.
 //!
 //! Times the GEMM entry points at the nine shapes the flux CNN's
-//! convolutions run at crop 60, the im2col/GEMM conv backend against the
-//! naive reference on the paper's 65×65 single-band geometry, and the
-//! data-parallel joint training loop at 1/2/4 threads. Writes
-//! `BENCH_conv.json` at the workspace root, with the host's core count,
-//! SIMD flags and the GEMM micro-kernel that ran.
+//! convolutions run at crop 60, and the data-parallel joint training loop
+//! at 1/2/4 threads. Writes `BENCH_conv.json` at the workspace root, with
+//! the host's core count, SIMD flags and the GEMM micro-kernel that ran.
 //!
 //! Run with `cargo run --release -p snia-bench --bin conv_bench`.
 
@@ -22,15 +20,6 @@ use snia_core::ExperimentConfig;
 use snia_dataset::Dataset;
 use snia_nn::gemm::{gemm_nn, gemm_nt, gemm_tn};
 use snia_nn::init;
-use snia_nn::layers::{Conv2d, ConvBackend, Padding};
-use snia_nn::{Layer, Mode, Tensor};
-
-#[derive(Serialize)]
-struct BackendTiming {
-    backend: String,
-    forward_ms: f64,
-    forward_backward_ms: f64,
-}
 
 #[derive(Serialize)]
 struct GemmTiming {
@@ -54,12 +43,6 @@ struct ThreadTiming {
 struct ConvBenchResult {
     host: HostInfo,
     flux_cnn_gemm: Vec<GemmTiming>,
-    input_shape: [usize; 4],
-    kernel: usize,
-    out_channels: usize,
-    conv: Vec<BackendTiming>,
-    forward_speedup: f64,
-    forward_backward_speedup: f64,
     joint_training: Vec<ThreadTiming>,
     note: String,
 }
@@ -122,27 +105,6 @@ fn median_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     times[times.len() / 2]
 }
 
-fn time_backend(backend: ConvBackend, x: &Tensor) -> BackendTiming {
-    let mut rng = StdRng::seed_from_u64(42);
-    let mut conv = Conv2d::new(1, 5, 5, Padding::Valid, &mut rng);
-    conv.set_backend(backend);
-    // Warm-up allocates the scratch buffers once.
-    let _ = conv.forward(x, Mode::Train);
-    let forward_ms = median_ms(9, || {
-        std::hint::black_box(conv.forward(x, Mode::Eval));
-    });
-    let forward_backward_ms = median_ms(9, || {
-        let y = conv.forward(x, Mode::Train);
-        let g = Tensor::ones(y.shape().to_vec());
-        std::hint::black_box(conv.backward(&g));
-    });
-    BackendTiming {
-        backend: format!("{backend:?}"),
-        forward_ms,
-        forward_backward_ms,
-    }
-}
-
 fn time_joint_training(ds: &Dataset, threads: usize, seed: u64) -> f64 {
     let idx: Vec<usize> = (0..ds.len()).collect();
     let examples = joint_examples(&idx);
@@ -168,7 +130,7 @@ fn main() {
     let _telemetry = snia_bench::init_telemetry("conv_bench");
     let mut cfg = ExperimentConfig::from_env();
     cfg.dataset.n_samples = cfg.dataset.n_samples.min(16);
-    progress!("# Conv backend + batch executor benchmark");
+    progress!("# Conv GEMM + batch executor benchmark");
     let host = host_info();
 
     // --- GEMM at the flux CNN's conv shapes ---
@@ -187,27 +149,6 @@ fn main() {
         "Flux-CNN conv GEMMs at crop 60 ({} micro-kernel)",
         host.gemm_kernel
     ));
-
-    // --- conv backends on the paper's 65×65 / 5×5 geometry ---
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let x = init::randn_tensor(&mut rng, vec![5, 1, 65, 65], 1.0);
-    let gemm = time_backend(ConvBackend::Im2colGemm, &x);
-    let naive = time_backend(ConvBackend::NaiveReference, &x);
-    let forward_speedup = naive.forward_ms / gemm.forward_ms;
-    let forward_backward_speedup = naive.forward_backward_ms / gemm.forward_backward_ms;
-
-    let mut table = Table::new(vec!["backend", "forward (ms)", "fwd+bwd (ms)"]);
-    for t in [&gemm, &naive] {
-        table.row(vec![
-            t.backend.clone(),
-            format!("{:.3}", t.forward_ms),
-            format!("{:.3}", t.forward_backward_ms),
-        ]);
-    }
-    table.print("Conv2d (5,1,65,65), k=5, 5 filters, valid padding");
-    progress!(
-        "forward speedup {forward_speedup:.2}x, fwd+bwd speedup {forward_backward_speedup:.2}x"
-    );
 
     // --- joint training throughput vs. thread count ---
     let ds = Dataset::generate(&cfg.dataset);
@@ -239,12 +180,6 @@ fn main() {
     let result = ConvBenchResult {
         host,
         flux_cnn_gemm,
-        input_shape: [5, 1, 65, 65],
-        kernel: 5,
-        out_channels: 5,
-        conv: vec![gemm, naive],
-        forward_speedup,
-        forward_backward_speedup,
         joint_training: joint,
         note: "thread speedups are bounded by the core count (host.nproc); \
                oversubscribed threads add only overhead"

@@ -4,21 +4,14 @@
 //! Output: `results/figures/*.svg`.
 
 use std::fs;
-use std::path::{Path, PathBuf};
 
 use serde_json::Value;
 
-use snia_bench::{progress, Chart, Series};
+use snia_bench::{progress, results_dir, Chart, Series};
 
 const COLORS: [&str; 6] = [
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
 ];
-
-fn results_dir() -> PathBuf {
-    std::env::var("SNIA_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"))
-}
 
 fn load(name: &str) -> Option<Value> {
     let path = results_dir().join(format!("{name}.json"));

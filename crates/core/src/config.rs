@@ -119,16 +119,9 @@ impl std::error::Error for ConfigError {}
 /// Parses `--resume <dir>` / `--resume=<dir>` from an argument stream;
 /// `None` when absent or malformed.
 pub fn resume_from_args<I: IntoIterator<Item = String>>(args: I) -> Option<std::path::PathBuf> {
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--resume" {
-            return iter.next().filter(|v| !v.is_empty()).map(Into::into);
-        }
-        if let Some(v) = arg.strip_prefix("--resume=") {
-            return (!v.is_empty()).then(|| v.into());
-        }
-    }
-    None
+    flag_value(args, "--resume")
+        .filter(|v| !v.is_empty())
+        .map(Into::into)
 }
 
 /// Resolves the checkpoint directory from CLI arguments (`--resume <dir>`,
@@ -147,16 +140,9 @@ pub fn resume_from_env_args() -> Option<std::path::PathBuf> {
 pub fn render_cache_from_args<I: IntoIterator<Item = String>>(
     args: I,
 ) -> Option<std::path::PathBuf> {
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        if arg == "--render-cache" {
-            return iter.next().filter(|v| !v.is_empty()).map(Into::into);
-        }
-        if let Some(v) = arg.strip_prefix("--render-cache=") {
-            return (!v.is_empty()).then(|| v.into());
-        }
-    }
-    None
+    flag_value(args, "--render-cache")
+        .filter(|v| !v.is_empty())
+        .map(Into::into)
 }
 
 /// Resolves the render-cache directory from CLI arguments
@@ -184,13 +170,22 @@ pub fn render_cache_from_env_args() -> Option<std::path::PathBuf> {
 /// Parses `--threads N` / `--threads=N` from an argument stream; `None`
 /// when absent or malformed.
 pub fn threads_from_args<I: IntoIterator<Item = String>>(args: I) -> Option<usize> {
+    flag_value(args, "--threads")?
+        .parse()
+        .ok()
+        .filter(|&t| t > 0)
+}
+
+/// The value of the first `flag v` / `flag=v` in an argument stream;
+/// `None` when the flag is absent or is the last argument.
+fn flag_value<I: IntoIterator<Item = String>>(args: I, flag: &str) -> Option<String> {
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        if arg == "--threads" {
-            return iter.next().and_then(|v| v.parse().ok()).filter(|&t| t > 0);
+        if arg == flag {
+            return iter.next();
         }
-        if let Some(v) = arg.strip_prefix("--threads=") {
-            return v.parse().ok().filter(|&t| t > 0);
+        if let Some(v) = arg.strip_prefix(flag).and_then(|r| r.strip_prefix('=')) {
+            return Some(v.to_owned());
         }
     }
     None

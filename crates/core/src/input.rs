@@ -1,8 +1,7 @@
-//! Input preprocessing: image pairs → CNN tensors, magnitudes → targets.
-
-use snia_dataset::FluxPair;
-use snia_nn::Tensor;
-use snia_skysim::Image;
+//! Input encoding: magnitudes → regression targets, and the D4
+//! augmentation of preprocessed stamps. The stamp preprocessing itself
+//! (difference image, signed log stretch, centred crop) is
+//! `snia_dataset::render_stamp`.
 
 /// Magnitude clamp range (matches the feature normalisation in
 /// `snia_dataset::features`).
@@ -30,51 +29,6 @@ pub fn mag_to_target(mag: f64) -> f32 {
 /// maps to a magnitude outside the range.
 pub fn target_to_mag(target: f32) -> f64 {
     f64::from(target) * 4.0 + 24.0
-}
-
-/// The paper's image preprocessing: difference image, signed log stretch,
-/// centred crop to `crop × crop` pixels.
-///
-/// # Panics
-///
-/// Panics if `crop` exceeds the stamp size or is zero.
-pub fn preprocess(reference: &Image, observation: &Image, crop: usize) -> Image {
-    preprocess_with(reference, observation, crop, true)
-}
-
-/// Like [`preprocess`], with the signed log stretch optional — the
-/// ablation bench compares the paper's transform against raw difference
-/// pixels.
-///
-/// # Panics
-///
-/// Panics if `crop` exceeds the stamp size or is zero.
-pub fn preprocess_with(
-    reference: &Image,
-    observation: &Image,
-    crop: usize,
-    log_stretch: bool,
-) -> Image {
-    let diff = observation.subtract(reference);
-    let diff = if log_stretch {
-        diff.log_stretch()
-    } else {
-        diff
-    };
-    diff.crop_center(crop)
-}
-
-/// Converts one flux pair into a `(1, crop, crop)`-shaped flat vector.
-fn pair_pixels(pair: &FluxPair, crop: usize) -> Vec<f32> {
-    preprocess(&pair.reference, &pair.observation, crop)
-        .data()
-        .to_vec()
-}
-
-/// Converts a flux pair into a single-sample CNN input tensor
-/// `(1, 1, crop, crop)`.
-pub fn pair_to_input(pair: &FluxPair, crop: usize) -> Tensor {
-    Tensor::from_vec(vec![1, 1, crop, crop], pair_pixels(pair, crop))
 }
 
 /// Applies one of the eight dihedral (D4) symmetries to a square image
@@ -110,45 +64,9 @@ pub fn d4_transform(pixels: &mut [f32], size: usize, code: u8) {
     }
 }
 
-/// Batches many flux pairs into an `(N, 1, crop, crop)` input tensor and an
-/// `(N, 1)` target tensor.
-///
-/// # Panics
-///
-/// Panics if `pairs` is empty.
-pub fn batch_pairs(pairs: &[&FluxPair], crop: usize) -> (Tensor, Tensor) {
-    batch_pairs_with(pairs, crop, true)
-}
-
-/// Like [`batch_pairs`], with the log stretch optional (ablation).
-///
-/// # Panics
-///
-/// Panics if `pairs` is empty.
-pub fn batch_pairs_with(pairs: &[&FluxPair], crop: usize, log_stretch: bool) -> (Tensor, Tensor) {
-    assert!(!pairs.is_empty(), "empty batch");
-    let n = pairs.len();
-    let mut x = Vec::with_capacity(n * crop * crop);
-    let mut t = Vec::with_capacity(n);
-    for p in pairs {
-        x.extend(
-            preprocess_with(&p.reference, &p.observation, crop, log_stretch)
-                .data()
-                .iter()
-                .copied(),
-        );
-        t.push(mag_to_target(p.true_mag));
-    }
-    (
-        Tensor::from_vec(vec![n, 1, crop, crop], x),
-        Tensor::from_vec(vec![n, 1], t),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snia_dataset::{Dataset, DatasetConfig};
 
     #[test]
     fn mag_target_round_trip() {
@@ -168,76 +86,6 @@ mod tests {
     fn target_is_order_unity() {
         assert!(mag_to_target(18.0).abs() <= 1.6);
         assert!(mag_to_target(30.0).abs() <= 1.6);
-    }
-
-    #[test]
-    fn preprocess_shapes_and_batches() {
-        let ds = Dataset::generate(&DatasetConfig {
-            n_samples: 2,
-            catalog_size: 30,
-            seed: 31,
-        });
-        let p0 = ds.samples[0].flux_pair(0);
-        let p1 = ds.samples[1].flux_pair(3);
-        let x = pair_to_input(&p0, 60);
-        assert_eq!(x.shape(), &[1, 1, 60, 60]);
-        let (xb, tb) = batch_pairs(&[&p0, &p1], 44);
-        assert_eq!(xb.shape(), &[2, 1, 44, 44]);
-        assert_eq!(tb.shape(), &[2, 1]);
-        assert!(xb.all_finite() && tb.all_finite());
-    }
-
-    #[test]
-    fn preprocess_crop_keeps_the_stamp_centre_pixel() {
-        // 65 → 60 is the paper's even-on-odd crop: the stamp centre pixel
-        // (32, 32) must survive at (30, 30) = crop/2 (top-left-wins
-        // parity, see `Image::crop_center`).
-        let ds = Dataset::generate(&DatasetConfig {
-            n_samples: 1,
-            catalog_size: 30,
-            seed: 33,
-        });
-        let p = ds.samples[0].flux_pair(2);
-        let full = p.observation.subtract(&p.reference).log_stretch();
-        let centre = snia_skysim::STAMP_SIZE / 2;
-        for crop in [60, 61] {
-            let img = preprocess(&p.reference, &p.observation, crop);
-            let out = centre - (snia_skysim::STAMP_SIZE - crop) / 2;
-            assert_eq!(
-                img.get(out, out),
-                full.get(centre, centre),
-                "crop {crop} lost the stamp centre pixel"
-            );
-            // 60 (even) keeps it at crop/2; 61 (odd) at (crop−1)/2.
-            assert_eq!(
-                out,
-                if crop % 2 == 0 {
-                    crop / 2
-                } else {
-                    (crop - 1) / 2
-                }
-            );
-        }
-    }
-
-    #[test]
-    fn preprocess_output_is_log_compressed() {
-        let ds = Dataset::generate(&DatasetConfig {
-            n_samples: 1,
-            catalog_size: 30,
-            seed: 32,
-        });
-        let p = ds.samples[0].flux_pair(0);
-        let img = preprocess(&p.reference, &p.observation, 60);
-        // Raw difference pixels can reach hundreds of counts; after the log
-        // stretch everything is within a few decades.
-        assert!(img.max() < 4.0 && img.min() > -4.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty batch")]
-    fn empty_batch_panics() {
-        batch_pairs(&[], 60);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use config::{
 };
 pub use eval::{auc, roc_curve, RocPoint};
 pub use flux_cnn::FluxCnn;
-pub use input::{mag_to_target, pair_to_input, target_to_mag};
+pub use input::{mag_to_target, target_to_mag};
 pub use joint::JointModel;
 pub use model::Model;
 pub use parallel::BatchExecutor;

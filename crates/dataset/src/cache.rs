@@ -435,6 +435,55 @@ mod tests {
     }
 
     #[test]
+    fn render_stamp_crop_keeps_the_stamp_centre_pixel() {
+        // 65 → 60 is the paper's even-on-odd crop: the stamp centre pixel
+        // (32, 32) must survive at (30, 30) = crop/2 (top-left-wins
+        // parity, see `Image::crop_center`).
+        let ds = Dataset::generate(&DatasetConfig {
+            n_samples: 1,
+            catalog_size: 30,
+            seed: 33,
+        });
+        let s = &ds.samples[0];
+        let full = s
+            .observation_image(2)
+            .subtract(&s.matched_reference_image(2))
+            .log_stretch();
+        let centre = snia_skysim::STAMP_SIZE / 2;
+        for crop in [60, 61] {
+            let px = render_stamp(s, 2, crop, true);
+            let out = centre - (snia_skysim::STAMP_SIZE - crop) / 2;
+            assert_eq!(
+                px[out * crop + out],
+                full.get(centre, centre),
+                "crop {crop} lost the stamp centre pixel"
+            );
+            // 60 (even) keeps it at crop/2; 61 (odd) at (crop−1)/2.
+            assert_eq!(
+                out,
+                if crop % 2 == 0 {
+                    crop / 2
+                } else {
+                    (crop - 1) / 2
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn render_stamp_output_is_log_compressed() {
+        let ds = Dataset::generate(&DatasetConfig {
+            n_samples: 1,
+            catalog_size: 30,
+            seed: 32,
+        });
+        let px = render_stamp(&ds.samples[0], 0, 60, true);
+        // Raw difference pixels can reach hundreds of counts; after the log
+        // stretch everything is within a few decades.
+        assert!(px.iter().all(|&v| v < 4.0 && v > -4.0));
+    }
+
+    #[test]
     fn disabled_cache_renders_directly() {
         let ds = tiny();
         let s = &ds.samples[0];

@@ -272,7 +272,7 @@ mod tests {
             for oi in 0..s.schedule.observations.len() {
                 let (band, mjd) = s.schedule.observations[oi];
                 let f = s.light_curve().flux(band, mjd);
-                if best.map_or(true, |(_, _, bf)| f > bf) {
+                if best.is_none_or(|(_, _, bf)| f > bf) {
                     best = Some((si, oi, f));
                 }
             }

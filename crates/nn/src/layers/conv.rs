@@ -1,6 +1,6 @@
-//! 2-D convolution with two interchangeable backends.
+//! 2-D convolution (stride 1) lowered onto GEMM.
 //!
-//! The production path lowers each sample to a column matrix
+//! Each sample is lowered to a column matrix
 //! ([`crate::lowering::im2col`]) and runs the cache-blocked GEMM kernels
 //! ([`crate::gemm`]) for the forward pass, the weight gradient and the
 //! column gradient (scattered back with
@@ -11,10 +11,9 @@
 //! training does no per-call allocation beyond the output tensors and
 //! the cached input.
 //!
-//! [`ConvBackend::NaiveReference`] keeps the direct six-deep loop nest
-//! alive as an independently-written oracle: gradcheck and the
-//! equivalence tests run against both, and the micro-benches measure the
-//! speedup of the lowered path.
+//! The reference implementations this layer is checked against (the
+//! direct six-deep loop nest and a per-sample lowered oracle) live in the
+//! `conv_props` integration tests.
 
 use rand::Rng;
 
@@ -33,16 +32,6 @@ pub enum Padding {
     /// Zero padding of `K / 2` per side: output matches the input size
     /// (requires an odd kernel).
     Same,
-}
-
-/// Which convolution implementation a [`Conv2d`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConvBackend {
-    /// im2col + blocked GEMM (the production path).
-    #[default]
-    Im2colGemm,
-    /// The direct six-deep loop nest, kept as a bit-level reference.
-    NaiveReference,
 }
 
 /// A 2-D convolution layer (stride 1) over `(N, C, H, W)` inputs.
@@ -70,7 +59,6 @@ pub struct Conv2d {
     out_channels: usize,
     kernel: usize,
     padding: Padding,
-    backend: ConvBackend,
     /// Reusable one-sample im2col / column-gradient buffers (see module
     /// docs).
     scratch: Scratch,
@@ -85,9 +73,8 @@ struct Scratch {
     db: Vec<f32>,
 }
 
-/// What backward needs from the training forward, for either backend:
-/// the raw input (the GEMM path re-lowers it one sample at a time) and
-/// the output size.
+/// What backward needs from the training forward: the raw input
+/// (re-lowered one sample at a time) and the output size.
 struct ConvCache {
     input: Tensor,
     out_h: usize,
@@ -103,7 +90,6 @@ impl std::fmt::Debug for Conv2d {
             .field("out_channels", &self.out_channels)
             .field("kernel", &self.kernel)
             .field("padding", &self.padding)
-            .field("backend", &self.backend)
             .field("scratch_len", &self.scratch.col.len())
             .field("cached", &self.cache.is_some())
             .finish()
@@ -137,7 +123,6 @@ impl Conv2d {
             out_channels,
             kernel,
             padding,
-            backend: ConvBackend::default(),
             scratch: Scratch::default(),
             cache: None,
         }
@@ -146,17 +131,6 @@ impl Conv2d {
     /// Kernel size.
     pub fn kernel(&self) -> usize {
         self.kernel
-    }
-
-    /// The active implementation.
-    pub fn backend(&self) -> ConvBackend {
-        self.backend
-    }
-
-    /// Switches the implementation (drops any pending backward cache).
-    pub fn set_backend(&mut self, backend: ConvBackend) {
-        self.backend = backend;
-        self.cache = None;
     }
 
     /// Output spatial size for a given input size.
@@ -180,7 +154,6 @@ impl Conv2d {
             height: h,
             width: w,
             kernel: self.kernel,
-            stride: 1,
             pad: self.pad(),
         }
     }
@@ -207,10 +180,10 @@ impl Conv2d {
         );
         (n, c, h, w)
     }
+}
 
-    // -- im2col + GEMM path -------------------------------------------------
-
-    fn forward_gemm(&mut self, input: &Tensor) -> Tensor {
+impl Layer for Conv2d {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (n, c, h, w) = self.check_input(input);
         let (out_h, out_w) = self.out_size(h, w);
         let g = self.geom(h, w);
@@ -238,14 +211,34 @@ impl Conv2d {
                 }
             }
         }
+        if mode == Mode::Train {
+            self.cache = Some(ConvCache {
+                input: input.clone(),
+                out_h,
+                out_w,
+            });
+        }
         out
     }
 
-    fn backward_gemm(&mut self, grad_output: &Tensor, input: &Tensor, ow_len: usize) -> Tensor {
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        let ConvCache {
+            input,
+            out_h,
+            out_w,
+        } = self
+            .cache
+            .take()
+            .expect("Conv2d::backward called without a training forward pass");
+        let oc = self.out_channels;
+        assert_eq!(
+            grad_output.shape(),
+            &[input.shape()[0], oc, out_h, out_w],
+            "Conv2d grad_output shape mismatch"
+        );
         let (c, h, w) = (input.shape()[1], input.shape()[2], input.shape()[3]);
         let g = self.geom(h, w);
-        let ckk = g.col_rows();
-        let oc = self.out_channels;
+        let (ckk, ow_len) = (g.col_rows(), out_h * out_w);
 
         let mut grad_input = Tensor::zeros(input.shape().to_vec());
         let Scratch { col, dcol, db } = &mut self.scratch;
@@ -272,124 +265,6 @@ impl Conv2d {
         grad_input
     }
 
-    // -- naive reference path -----------------------------------------------
-
-    fn forward_naive(&self, input: &Tensor) -> Tensor {
-        let (n, c, h, w) = self.check_input(input);
-        let (out_h, out_w) = self.out_size(h, w);
-        let (k, pad) = (self.kernel, self.pad() as isize);
-        let mut out = Tensor::zeros(vec![n, self.out_channels, out_h, out_w]);
-        let wdata = self.weight.value.data();
-        let bias = self.bias.value.data();
-        for ni in 0..n {
-            for oc in 0..self.out_channels {
-                for oy in 0..out_h {
-                    for ox in 0..out_w {
-                        let mut acc = bias[oc];
-                        for ci in 0..c {
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    let iy = oy as isize + ky as isize - pad;
-                                    let ix = ox as isize + kx as isize - pad;
-                                    if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
-                                        continue;
-                                    }
-                                    let wv = wdata[oc * c * k * k + (ci * k + ky) * k + kx];
-                                    acc += wv
-                                        * input.data()
-                                            [((ni * c + ci) * h + iy as usize) * w + ix as usize];
-                                }
-                            }
-                        }
-                        *out.at_mut(&[ni, oc, oy, ox]) = acc;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn backward_naive(
-        &mut self,
-        grad_output: &Tensor,
-        input: &Tensor,
-        out_h: usize,
-        out_w: usize,
-    ) -> Tensor {
-        let (n, c, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let (k, pad) = (self.kernel, self.pad() as isize);
-        let mut grad_input = Tensor::zeros(input.shape().to_vec());
-        let wdata = self.weight.value.data().to_vec();
-        for ni in 0..n {
-            for oc in 0..self.out_channels {
-                for oy in 0..out_h {
-                    for ox in 0..out_w {
-                        let gy = grad_output.at(&[ni, oc, oy, ox]);
-                        self.bias.grad.data_mut()[oc] += gy;
-                        for ci in 0..c {
-                            for ky in 0..k {
-                                for kx in 0..k {
-                                    let iy = oy as isize + ky as isize - pad;
-                                    let ix = ox as isize + kx as isize - pad;
-                                    if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
-                                        continue;
-                                    }
-                                    let xi = ((ni * c + ci) * h + iy as usize) * w + ix as usize;
-                                    let wi = oc * c * k * k + (ci * k + ky) * k + kx;
-                                    self.weight.grad.data_mut()[wi] += gy * input.data()[xi];
-                                    grad_input.data_mut()[xi] += gy * wdata[wi];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        grad_input
-    }
-}
-
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let out = match self.backend {
-            ConvBackend::Im2colGemm => self.forward_gemm(input),
-            ConvBackend::NaiveReference => self.forward_naive(input),
-        };
-        if mode == Mode::Train {
-            self.cache = Some(ConvCache {
-                input: input.clone(),
-                out_h: out.shape()[2],
-                out_w: out.shape()[3],
-            });
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let ConvCache {
-            input,
-            out_h,
-            out_w,
-        } = self
-            .cache
-            .take()
-            .expect("Conv2d::backward called without a training forward pass");
-        assert_eq!(
-            grad_output.shape(),
-            &[input.shape()[0], self.out_channels, out_h, out_w],
-            "Conv2d grad_output shape mismatch"
-        );
-        match self.backend {
-            ConvBackend::Im2colGemm => self.backward_gemm(grad_output, &input, out_h * out_w),
-            ConvBackend::NaiveReference => self.backward_naive(grad_output, &input, out_h, out_w),
-        }
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]
     }
@@ -410,82 +285,6 @@ mod tests {
     use crate::init;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    /// Builds a conv with deterministic weights for value tests.
-    fn fixed_conv(in_c: usize, out_c: usize, k: usize, padding: Padding) -> Conv2d {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut conv = Conv2d::new(in_c, out_c, k, padding, &mut rng);
-        let n = conv.weight.value.len();
-        let vals: Vec<f32> = (0..n).map(|i| (i % 5) as f32 * 0.1 - 0.2).collect();
-        conv.weight.value.data_mut().copy_from_slice(&vals);
-        conv
-    }
-
-    #[test]
-    fn forward_matches_naive_valid() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut conv = fixed_conv(2, 3, 3, Padding::Valid);
-        conv.bias
-            .value
-            .data_mut()
-            .copy_from_slice(&[0.1, -0.2, 0.3]);
-        let x = init::randn_tensor(&mut rng, vec![2, 2, 6, 7], 1.0);
-        let y = conv.forward(&x, Mode::Eval);
-        conv.set_backend(ConvBackend::NaiveReference);
-        let expected = conv.forward(&x, Mode::Eval);
-        assert_eq!(y.shape(), expected.shape());
-        for (a, b) in y.data().iter().zip(expected.data()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn forward_matches_naive_same() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut conv = fixed_conv(1, 2, 5, Padding::Same);
-        let x = init::randn_tensor(&mut rng, vec![1, 1, 8, 8], 1.0);
-        let y = conv.forward(&x, Mode::Eval);
-        conv.set_backend(ConvBackend::NaiveReference);
-        let expected = conv.forward(&x, Mode::Eval);
-        assert_eq!(y.shape(), &[1, 2, 8, 8]);
-        for (a, b) in y.data().iter().zip(expected.data()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn backward_matches_naive_both_paddings() {
-        // Forward + full backward equivalence of the two backends on
-        // integer-valued data, where both paths are exact in f32.
-        for padding in [Padding::Valid, Padding::Same] {
-            let mut a = fixed_conv(2, 3, 3, padding);
-            let mut b = fixed_conv(2, 3, 3, padding);
-            b.set_backend(ConvBackend::NaiveReference);
-            let x = Tensor::from_vec(
-                vec![2, 2, 5, 5],
-                (0..100).map(|i| (i % 7) as f32 - 3.0).collect(),
-            );
-            let ya = a.forward(&x, Mode::Train);
-            let yb = b.forward(&x, Mode::Train);
-            let g = Tensor::from_vec(
-                ya.shape().to_vec(),
-                (0..ya.len()).map(|i| (i % 5) as f32 - 2.0).collect(),
-            );
-            let gxa = a.backward(&g);
-            let gxb = b.backward(&g);
-            for (p, q) in ya.data().iter().zip(yb.data()) {
-                assert!((p - q).abs() < 1e-5, "fwd {p} vs {q} ({padding:?})");
-            }
-            for (p, q) in gxa.data().iter().zip(gxb.data()) {
-                assert!((p - q).abs() < 1e-4, "dx {p} vs {q} ({padding:?})");
-            }
-            for (pa, pb) in a.params().iter().zip(b.params()) {
-                for (p, q) in pa.grad.data().iter().zip(pb.grad.data()) {
-                    assert!((p - q).abs() < 1e-3, "{} grad {p} vs {q}", pa.name);
-                }
-            }
-        }
-    }
 
     #[test]
     fn scratch_is_reused_across_calls() {
@@ -536,17 +335,6 @@ mod tests {
         let conv = Conv2d::new(1, 2, 3, Padding::Same, &mut rng);
         let x = init::randn_tensor(&mut rng, vec![2, 1, 4, 4], 1.0);
         check_layer_gradients(Box::new(conv), &x, 1e-2, 3e-2);
-    }
-
-    #[test]
-    fn gradcheck_naive_backend() {
-        let mut rng = StdRng::seed_from_u64(13);
-        for padding in [Padding::Valid, Padding::Same] {
-            let mut conv = Conv2d::new(2, 2, 3, padding, &mut rng);
-            conv.set_backend(ConvBackend::NaiveReference);
-            let x = init::randn_tensor(&mut rng, vec![2, 2, 4, 4], 1.0);
-            check_layer_gradients(Box::new(conv), &x, 1e-2, 3e-2);
-        }
     }
 
     #[test]

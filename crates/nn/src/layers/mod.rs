@@ -16,7 +16,7 @@ mod prelu;
 
 pub use activation::{sigmoid_scalar, Relu};
 pub use batchnorm::{BatchNorm, BatchNorm1d, BatchNorm2d};
-pub use conv::{Conv2d, ConvBackend, Padding};
+pub use conv::{Conv2d, Padding};
 pub use flatten::Flatten;
 pub use gru::Gru;
 pub use highway::Highway;

@@ -4,15 +4,14 @@
 //! column matrix so that convolution becomes a single GEMM against the
 //! `(OC, C·K·K)` weight matrix; [`col2im_add`] is its exact adjoint,
 //! scattering a column-matrix gradient back onto the input plane. Both
-//! support arbitrary stride and symmetric zero padding — [`Conv2d`]
-//! (stride 1) is the in-tree consumer, and the property tests sweep the
-//! full parameter space.
+//! cover exactly the geometry [`Conv2d`] uses: stride 1 and symmetric
+//! zero padding.
 //!
 //! [`Conv2d`]: crate::layers::Conv2d
 
 use std::ops::Range;
 
-/// Geometry of one lowered convolution: input plane, kernel, stride and
+/// Geometry of one lowered stride-1 convolution: input plane, kernel and
 /// symmetric zero padding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvGeom {
@@ -24,32 +23,27 @@ pub struct ConvGeom {
     pub width: usize,
     /// Square kernel size.
     pub kernel: usize,
-    /// Spatial stride (both axes).
-    pub stride: usize,
     /// Symmetric zero padding (both axes).
     pub pad: usize,
 }
 
 impl ConvGeom {
-    /// Output height: `(H + 2·pad − K) / stride + 1`.
+    /// Output height: `H + 2·pad − K + 1`.
     ///
     /// # Panics
     ///
-    /// Panics if the padded input is smaller than the kernel or the
-    /// stride is zero.
+    /// Panics if the padded input is smaller than the kernel.
     pub fn out_h(&self) -> usize {
-        assert!(self.stride > 0, "stride must be positive");
         let padded = self.height + 2 * self.pad;
         assert!(padded >= self.kernel, "input too small for kernel");
-        (padded - self.kernel) / self.stride + 1
+        padded - self.kernel + 1
     }
 
-    /// Output width: `(W + 2·pad − K) / stride + 1`.
+    /// Output width: `W + 2·pad − K + 1`.
     pub fn out_w(&self) -> usize {
-        assert!(self.stride > 0, "stride must be positive");
         let padded = self.width + 2 * self.pad;
         assert!(padded >= self.kernel, "input too small for kernel");
-        (padded - self.kernel) / self.stride + 1
+        padded - self.kernel + 1
     }
 
     /// Rows of the column matrix (`C·K·K`).
@@ -69,17 +63,15 @@ impl ConvGeom {
 }
 
 /// The output positions `o` in `0..outs` whose input coordinate
-/// `o·stride + tap − pad` lies in `0..len`, and the input coordinate of
-/// the first of them (0 when there is none).
-fn span(len: usize, outs: usize, tap: usize, stride: usize, pad: usize) -> (Range<usize>, usize) {
-    // o·stride ≥ pad − tap
-    let lo = pad.saturating_sub(tap).div_ceil(stride);
-    // o·stride ≤ len − 1 + pad − tap
-    let hi = (len + pad)
-        .checked_sub(tap + 1)
-        .map_or(0, |last| (last / stride + 1).min(outs));
+/// `o + tap − pad` lies in `0..len`, and the input coordinate of the
+/// first of them (0 when there is none).
+fn span(len: usize, outs: usize, tap: usize, pad: usize) -> (Range<usize>, usize) {
+    // o ≥ pad − tap
+    let lo = pad.saturating_sub(tap);
+    // o ≤ len − 1 + pad − tap
+    let hi = (len + pad).saturating_sub(tap).min(outs);
     if lo < hi {
-        (lo..hi, lo * stride + tap - pad)
+        (lo..hi, lo + tap - pad)
     } else {
         (0..0, 0)
     }
@@ -98,7 +90,7 @@ fn span(len: usize, outs: usize, tap: usize, stride: usize, pad: usize) -> (Rang
 pub fn im2col(g: &ConvGeom, sample: &[f32], col: &mut [f32]) {
     assert_eq!(sample.len(), g.sample_len(), "im2col input length");
     assert_eq!(col.len(), g.col_rows() * g.col_cols(), "im2col col length");
-    let (k, s, pad) = (g.kernel, g.stride, g.pad);
+    let (k, pad) = (g.kernel, g.pad);
     let (h, w) = (g.height, g.width);
     let (out_h, out_w) = (g.out_h(), g.out_w());
     if h * w == 0 {
@@ -108,28 +100,21 @@ pub fn im2col(g: &ConvGeom, sample: &[f32], col: &mut [f32]) {
     let mut rows = col.chunks_exact_mut(out_h * out_w);
     for plane in sample.chunks_exact(h * w) {
         for ky in 0..k {
-            let (oys, iy0) = span(h, out_h, ky, s, pad);
+            let (oys, iy0) = span(h, out_h, ky, pad);
             for kx in 0..k {
-                let (oxs, ix0) = span(w, out_w, kx, s, pad);
+                let (oxs, ix0) = span(w, out_w, kx, pad);
                 let dst = rows.next().expect("one column row per tap");
                 let (above, rest) = dst.split_at_mut(oys.start * out_w);
                 let (mid, below) = rest.split_at_mut(oys.len() * out_w);
                 above.fill(0.0);
                 below.fill(0.0);
-                let src_rows = plane.chunks_exact(w).skip(iy0).step_by(s);
+                let src_rows = plane.chunks_exact(w).skip(iy0);
                 for (dst_row, src_row) in mid.chunks_exact_mut(out_w).zip(src_rows) {
                     let (left, rest) = dst_row.split_at_mut(oxs.start);
                     let (inside, right) = rest.split_at_mut(oxs.len());
                     left.fill(0.0);
                     right.fill(0.0);
-                    let src = &src_row[ix0..];
-                    if s == 1 {
-                        inside.copy_from_slice(&src[..inside.len()]);
-                    } else {
-                        for (d, &x) in inside.iter_mut().zip(src.iter().step_by(s)) {
-                            *d = x;
-                        }
-                    }
+                    inside.copy_from_slice(&src_row[ix0..ix0 + inside.len()]);
                 }
             }
         }
@@ -148,7 +133,7 @@ pub fn im2col(g: &ConvGeom, sample: &[f32], col: &mut [f32]) {
 pub fn col2im_add(g: &ConvGeom, col: &[f32], grad_sample: &mut [f32]) {
     assert_eq!(grad_sample.len(), g.sample_len(), "col2im output length");
     assert_eq!(col.len(), g.col_rows() * g.col_cols(), "col2im col length");
-    let (k, s, pad) = (g.kernel, g.stride, g.pad);
+    let (k, pad) = (g.kernel, g.pad);
     let (h, w) = (g.height, g.width);
     let (out_h, out_w) = (g.out_h(), g.out_w());
     if h * w == 0 {
@@ -157,23 +142,15 @@ pub fn col2im_add(g: &ConvGeom, col: &[f32], grad_sample: &mut [f32]) {
     let mut rows = col.chunks_exact(out_h * out_w);
     for plane in grad_sample.chunks_exact_mut(h * w) {
         for ky in 0..k {
-            let (oys, iy0) = span(h, out_h, ky, s, pad);
+            let (oys, iy0) = span(h, out_h, ky, pad);
             for kx in 0..k {
-                let (oxs, ix0) = span(w, out_w, kx, s, pad);
+                let (oxs, ix0) = span(w, out_w, kx, pad);
                 let src = rows.next().expect("one column row per tap");
                 let mid = &src[oys.start * out_w..oys.end * out_w];
-                let dst_rows = plane.chunks_exact_mut(w).skip(iy0).step_by(s);
+                let dst_rows = plane.chunks_exact_mut(w).skip(iy0);
                 for (src_row, dst_row) in mid.chunks_exact(out_w).zip(dst_rows) {
-                    let inside = &src_row[oxs.clone()];
-                    let dst = &mut dst_row[ix0..];
-                    if s == 1 {
-                        for (d, &v) in dst.iter_mut().zip(inside) {
-                            *d += v;
-                        }
-                    } else {
-                        for (d, &v) in dst.iter_mut().step_by(s).zip(inside) {
-                            *d += v;
-                        }
+                    for (d, &v) in dst_row[ix0..].iter_mut().zip(&src_row[oxs.clone()]) {
+                        *d += v;
                     }
                 }
             }
@@ -185,29 +162,28 @@ pub fn col2im_add(g: &ConvGeom, col: &[f32], grad_sample: &mut [f32]) {
 mod tests {
     use super::*;
 
-    fn geom(c: usize, h: usize, w: usize, k: usize, stride: usize, pad: usize) -> ConvGeom {
+    fn geom(c: usize, h: usize, w: usize, k: usize, pad: usize) -> ConvGeom {
         ConvGeom {
             channels: c,
             height: h,
             width: w,
             kernel: k,
-            stride,
             pad,
         }
     }
 
     #[test]
     fn out_sizes() {
-        assert_eq!(geom(1, 65, 65, 5, 1, 2).out_h(), 65);
-        assert_eq!(geom(1, 65, 65, 5, 1, 0).out_h(), 61);
-        assert_eq!(geom(1, 7, 9, 3, 2, 0).out_h(), 3);
-        assert_eq!(geom(1, 7, 9, 3, 2, 0).out_w(), 4);
+        assert_eq!(geom(1, 65, 65, 5, 2).out_h(), 65);
+        assert_eq!(geom(1, 65, 65, 5, 0).out_h(), 61);
+        assert_eq!(geom(1, 7, 9, 3, 0).out_h(), 5);
+        assert_eq!(geom(1, 7, 9, 3, 0).out_w(), 7);
     }
 
     #[test]
     fn identity_kernel_is_copy() {
-        // K=1, stride 1, no padding: the column matrix is the input.
-        let g = geom(2, 3, 3, 1, 1, 0);
+        // K=1, no padding: the column matrix is the input.
+        let g = geom(2, 3, 3, 1, 0);
         let x: Vec<f32> = (0..g.sample_len()).map(|i| i as f32).collect();
         let mut col = vec![f32::NAN; g.col_rows() * g.col_cols()];
         im2col(&g, &x, &mut col);
@@ -218,7 +194,7 @@ mod tests {
     fn overwrites_stale_buffer_contents() {
         // Padding taps must be written as zero even when the buffer holds
         // garbage from a previous call (the scratch-reuse contract).
-        let g = geom(1, 2, 2, 3, 1, 1);
+        let g = geom(1, 2, 2, 3, 1);
         let x = vec![1.0, 2.0, 3.0, 4.0];
         let mut col = vec![f32::NAN; g.col_rows() * g.col_cols()];
         im2col(&g, &x, &mut col);
@@ -228,7 +204,7 @@ mod tests {
     #[test]
     fn adjoint_identity_exact() {
         // ⟨im2col(x), y⟩ == ⟨x, col2im(y)⟩ for integer data (exact in f32).
-        let g = geom(2, 6, 5, 3, 2, 1);
+        let g = geom(2, 6, 5, 3, 1);
         let x: Vec<f32> = (0..g.sample_len()).map(|i| (i % 7) as f32 - 3.0).collect();
         let cols = g.col_rows() * g.col_cols();
         let y: Vec<f32> = (0..cols).map(|i| (i % 5) as f32 - 2.0).collect();
@@ -243,7 +219,7 @@ mod tests {
 
     #[test]
     fn col2im_accumulates() {
-        let g = geom(1, 3, 3, 3, 1, 1);
+        let g = geom(1, 3, 3, 3, 1);
         let cols = g.col_rows() * g.col_cols();
         let mut grad = vec![1.0f32; g.sample_len()];
         col2im_add(&g, &vec![0.0; cols], &mut grad);
@@ -253,6 +229,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "too small")]
     fn kernel_larger_than_padded_input_panics() {
-        geom(1, 2, 2, 5, 1, 0).out_h();
+        geom(1, 2, 2, 5, 0).out_h();
     }
 }

@@ -309,7 +309,7 @@ impl Tensor {
             self.shape, other.shape
         );
         let mut out = vec![0.0f32; m * n];
-        matmul_into(&self.data, &other.data, &mut out, m, k, n);
+        crate::gemm::gemm_nn(&self.data, &other.data, &mut out, m, k, n);
         Tensor {
             shape: vec![m, n],
             data: out,
@@ -506,17 +506,6 @@ impl Tensor {
         assert_eq!(self.shape, other.shape, "dot shape mismatch");
         self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
     }
-}
-
-/// `out += a (m×k) * b (k×n)`, all row-major flat slices.
-///
-/// Delegates to the cache-blocked kernel in [`crate::gemm`]; this is the
-/// single hottest routine in the library.
-pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    crate::gemm::gemm_nn(a, b, out, m, k, n);
 }
 
 macro_rules! impl_elementwise {

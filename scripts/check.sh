@@ -33,8 +33,8 @@ if [ -n "$hits" ]; then
     exit 1
 fi
 
-echo "== cargo clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+echo "== cargo clippy, all targets (deny warnings) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 if [ "$quick" -eq 0 ]; then
     echo "== cargo build --release =="
@@ -68,8 +68,9 @@ cargo test -q --test golden
 echo "== property suite =="
 cargo test -q --test properties
 
-# And the lowering/GEMM/conv-backend properties, including the bit-identity
-# pins of im2col/col2im_add and GEMM on fractional data.
+# And the lowering/GEMM/conv properties: Conv2d against the direct
+# convolution oracle, and the bit-identity pins of im2col/col2im_add, GEMM
+# and the whole layer on fractional data.
 echo "== conv property suite =="
 cargo test -q --test conv_props
 

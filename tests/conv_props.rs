@@ -2,18 +2,19 @@
 //! blocked GEMM kernels.
 //!
 //! Most inputs are *integer-valued* floats: every product and partial sum
-//! is exactly representable in `f32`, so the lowered (im2col + GEMM) and
-//! naive convolution paths must agree to full precision regardless of
-//! summation order — far inside the 1e-10 equivalence budget. The
-//! bit-identity properties (lowering against its per-element oracles,
-//! GEMM against the naive loop) use non-integer data instead, so that any
+//! is exactly representable in `f32`, so `Conv2d` (im2col + GEMM) and the
+//! direct six-deep loop nest in [`direct_conv_oracle`] must agree to full
+//! precision regardless of summation order — far inside the 1e-10
+//! equivalence budget. The bit-identity properties (lowering against its
+//! per-element oracles, GEMM against the naive loop, the whole layer
+//! against the lowered oracle) use non-integer data instead, so that any
 //! change to the order of a sum shows.
 
 use proptest::prelude::*;
 
 use snia_repro::core::parallel::shard_ranges;
 use snia_repro::nn::gemm::{gemm_nn, gemm_nt, gemm_tn, naive_matmul};
-use snia_repro::nn::layers::{Conv2d, ConvBackend, Padding};
+use snia_repro::nn::layers::{Conv2d, Padding};
 use snia_repro::nn::lowering::{col2im_add, im2col, ConvGeom};
 use snia_repro::nn::{Layer, Mode, Tensor};
 
@@ -66,7 +67,7 @@ fn bits(x: &[f32]) -> Vec<u32> {
 /// The per-element `im2col` the lowering replaced: every output column
 /// tests its input coordinate. Kept as the bit-level oracle.
 fn im2col_oracle(g: &ConvGeom, sample: &[f32]) -> Vec<f32> {
-    let (k, s, h, w) = (g.kernel, g.stride, g.height, g.width);
+    let (k, h, w) = (g.kernel, g.height, g.width);
     let (out_h, out_w) = (g.out_h(), g.out_w());
     let pad = g.pad as isize;
     let mut col = vec![f32::NAN; g.col_rows() * g.col_cols()];
@@ -76,8 +77,8 @@ fn im2col_oracle(g: &ConvGeom, sample: &[f32]) -> Vec<f32> {
                 let row = (ci * k + ky) * k + kx;
                 for oy in 0..out_h {
                     for ox in 0..out_w {
-                        let iy = (oy * s) as isize + ky as isize - pad;
-                        let ix = (ox * s) as isize + kx as isize - pad;
+                        let iy = oy as isize + ky as isize - pad;
+                        let ix = ox as isize + kx as isize - pad;
                         let inside = iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize;
                         col[(row * out_h + oy) * out_w + ox] = if inside {
                             sample[(ci * h + iy as usize) * w + ix as usize]
@@ -95,7 +96,7 @@ fn im2col_oracle(g: &ConvGeom, sample: &[f32]) -> Vec<f32> {
 /// The per-element `col2im_add` the lowering replaced, in the same
 /// tap-then-output order. Kept as the bit-level oracle.
 fn col2im_add_oracle(g: &ConvGeom, col: &[f32], grad_sample: &mut [f32]) {
-    let (k, s, h, w) = (g.kernel, g.stride, g.height, g.width);
+    let (k, h, w) = (g.kernel, g.height, g.width);
     let (out_h, out_w) = (g.out_h(), g.out_w());
     let pad = g.pad as isize;
     for ci in 0..g.channels {
@@ -104,8 +105,8 @@ fn col2im_add_oracle(g: &ConvGeom, col: &[f32], grad_sample: &mut [f32]) {
                 let row = (ci * k + ky) * k + kx;
                 for oy in 0..out_h {
                     for ox in 0..out_w {
-                        let iy = (oy * s) as isize + ky as isize - pad;
-                        let ix = (ox * s) as isize + kx as isize - pad;
+                        let iy = oy as isize + ky as isize - pad;
+                        let ix = ox as isize + kx as isize - pad;
                         if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
                             grad_sample[(ci * h + iy as usize) * w + ix as usize] +=
                                 col[(row * out_h + oy) * out_w + ox];
@@ -115,6 +116,174 @@ fn col2im_add_oracle(g: &ConvGeom, col: &[f32], grad_sample: &mut [f32]) {
             }
         }
     }
+}
+
+/// One convolution case: batch, channels, square planes, kernel and
+/// padding policy.
+#[derive(Debug, Clone, Copy)]
+struct ConvCase {
+    n: usize,
+    in_c: usize,
+    out_c: usize,
+    size: usize,
+    k: usize,
+    same: bool,
+}
+
+impl ConvCase {
+    fn padding(&self) -> Padding {
+        if self.same {
+            Padding::Same
+        } else {
+            Padding::Valid
+        }
+    }
+
+    fn geom(&self) -> ConvGeom {
+        ConvGeom {
+            channels: self.in_c,
+            height: self.size,
+            width: self.size,
+            kernel: self.k,
+            pad: if self.same { self.k / 2 } else { 0 },
+        }
+    }
+
+    fn x_len(&self) -> usize {
+        self.n * self.in_c * self.size * self.size
+    }
+
+    fn w_len(&self) -> usize {
+        self.out_c * self.in_c * self.k * self.k
+    }
+
+    fn y_len(&self) -> usize {
+        self.n * self.out_c * self.geom().col_cols()
+    }
+}
+
+/// What one training forward + backward of a convolution produces.
+#[derive(Debug)]
+struct ConvRun {
+    y: Vec<f32>,
+    dx: Vec<f32>,
+    dw: Vec<f32>,
+    db: Vec<f32>,
+}
+
+impl ConvRun {
+    fn zeros(case: ConvCase) -> Self {
+        ConvRun {
+            y: vec![0.0; case.y_len()],
+            dx: vec![0.0; case.x_len()],
+            dw: vec![0.0; case.w_len()],
+            db: vec![0.0; case.out_c],
+        }
+    }
+}
+
+/// `Conv2d` with weight `w` and bias `b`: a training forward of `x`, then
+/// a backward of `dy`.
+fn run_conv2d(case: ConvCase, x: &[f32], w: &[f32], b: &[f32], dy: &[f32]) -> ConvRun {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
+    let mut conv = Conv2d::new(case.in_c, case.out_c, case.k, case.padding(), &mut rng);
+    {
+        let mut params = conv.params_mut();
+        params[0].value.data_mut().copy_from_slice(w);
+        params[1].value.data_mut().copy_from_slice(b);
+    }
+    let x = Tensor::from_vec(vec![case.n, case.in_c, case.size, case.size], x.to_vec());
+    let y = conv.forward(&x, Mode::Train);
+    let dy = Tensor::from_vec(y.shape().to_vec(), dy.to_vec());
+    let dx = conv.backward(&dy);
+    let params = conv.params();
+    ConvRun {
+        y: y.data().to_vec(),
+        dx: dx.data().to_vec(),
+        dw: params[0].grad.data().to_vec(),
+        db: params[1].grad.data().to_vec(),
+    }
+}
+
+/// The direct six-deep loop nest `Conv2d` once carried as a second
+/// backend: every output sums its bias and in-bounds taps, and backward
+/// scatters each output gradient straight into `dx`, `dw` and `db`.
+/// Independently written, so it checks the lowering's index arithmetic.
+fn direct_conv_oracle(case: ConvCase, x: &[f32], w: &[f32], b: &[f32], dy: &[f32]) -> ConvRun {
+    let ConvCase {
+        n, in_c, out_c, k, ..
+    } = case;
+    let g = case.geom();
+    let (h, wd, pad) = (g.height, g.width, g.pad as isize);
+    let (out_h, out_w) = (g.out_h(), g.out_w());
+    // Input and weight index of tap (ci, ky, kx) at output (ni, oc, oy, ox),
+    // or `None` in the padding.
+    let tap = |ni: usize, oc: usize, oy: usize, ox: usize, ci: usize, ky: usize, kx: usize| {
+        let iy = oy as isize + ky as isize - pad;
+        let ix = ox as isize + kx as isize - pad;
+        if iy < 0 || ix < 0 || iy >= h as isize || ix >= wd as isize {
+            return None;
+        }
+        let xi = ((ni * in_c + ci) * h + iy as usize) * wd + ix as usize;
+        Some((xi, ((oc * in_c + ci) * k + ky) * k + kx))
+    };
+    let mut run = ConvRun::zeros(case);
+    for ni in 0..n {
+        for (oc, &bias) in b.iter().enumerate() {
+            for oy in 0..out_h {
+                for ox in 0..out_w {
+                    let yi = ((ni * out_c + oc) * out_h + oy) * out_w + ox;
+                    let (mut acc, gy) = (bias, dy[yi]);
+                    run.db[oc] += gy;
+                    for ci in 0..in_c {
+                        for ky in 0..k {
+                            for kx in 0..k {
+                                if let Some((xi, wi)) = tap(ni, oc, oy, ox, ci, ky, kx) {
+                                    acc += w[wi] * x[xi];
+                                    run.dw[wi] += gy * x[xi];
+                                    run.dx[xi] += gy * w[wi];
+                                }
+                            }
+                        }
+                    }
+                    run.y[yi] = acc;
+                }
+            }
+        }
+    }
+    run
+}
+
+/// `Conv2d`'s computation spelt out per sample with the naive GEMM and
+/// the per-element lowering oracles, in the layer's summation order:
+/// `W · im2col(x)` then `+ b` per plane; `dW += dy · colᵀ`; `db +=` each
+/// plane's left-to-right sum from −0.0; `dx += col2im(Wᵀ · dy)`.
+fn lowered_conv_oracle(case: ConvCase, x: &[f32], w: &[f32], b: &[f32], dy: &[f32]) -> ConvRun {
+    let g = case.geom();
+    let (oc, ckk, owl) = (case.out_c, g.col_rows(), g.col_cols());
+    let wt = transpose(w, oc, ckk);
+    let mut run = ConvRun::zeros(case);
+    let samples = x.chunks_exact(g.sample_len());
+    let dys = dy.chunks_exact(oc * owl);
+    let ys = run.y.chunks_exact_mut(oc * owl);
+    let dxs = run.dx.chunks_exact_mut(g.sample_len());
+    for (((sample, dy), y), dx) in samples.zip(dys).zip(ys).zip(dxs) {
+        let col = im2col_oracle(&g, sample);
+        naive_matmul(w, &col, y, oc, ckk, owl);
+        for (plane, &bv) in y.chunks_exact_mut(owl).zip(b) {
+            for v in plane {
+                *v += bv;
+            }
+        }
+        naive_matmul(dy, &transpose(&col, ckk, owl), &mut run.dw, oc, owl, ckk);
+        for (d, plane) in run.db.iter_mut().zip(dy.chunks_exact(owl)) {
+            *d += plane.iter().fold(-0.0f32, |acc, &v| acc + v);
+        }
+        let mut dcol = vec![0.0f32; ckk * owl];
+        naive_matmul(&wt, dy, &mut dcol, ckk, oc, owl);
+        col2im_add_oracle(&g, &dcol, dx);
+    }
+    run
 }
 
 proptest! {
@@ -131,18 +300,17 @@ proptest! {
         height in 1usize..10,
         width in 1usize..10,
         kernel in 1usize..6,
-        stride in 1usize..4,
         pad in 0usize..3,
     ) {
         prop_assume!(height + 2 * pad >= kernel && width + 2 * pad >= kernel);
-        let g = ConvGeom { channels, height, width, kernel, stride, pad };
+        let g = ConvGeom { channels, height, width, kernel, pad };
         let x: Vec<f32> = (0..g.sample_len()).map(|i| (i % 7) as f32 - 3.0).collect();
         let mut col = vec![0.0f32; g.col_rows() * g.col_cols()];
         im2col(&g, &x, &mut col);
         let mut back = vec![0.0f32; g.sample_len()];
         col2im_add(&g, &col, &mut back);
 
-        let (h, w, k, s) = (g.height, g.width, g.kernel, g.stride);
+        let (h, w, k) = (g.height, g.width, g.kernel);
         let p = g.pad as isize;
         for ci in 0..g.channels {
             for iy in 0..h {
@@ -150,8 +318,8 @@ proptest! {
                     let mut cover = 0usize;
                     for oy in 0..g.out_h() {
                         for ox in 0..g.out_w() {
-                            let y0 = (oy * s) as isize - p;
-                            let x0 = (ox * s) as isize - p;
+                            let y0 = oy as isize - p;
+                            let x0 = ox as isize - p;
                             let (yy, xx) = (iy as isize, ix as isize);
                             if yy >= y0 && yy < y0 + k as isize && xx >= x0 && xx < x0 + k as isize
                             {
@@ -174,12 +342,11 @@ proptest! {
         height in 1usize..10,
         width in 1usize..10,
         kernel in 1usize..6,
-        stride in 1usize..4,
         pad in 0usize..3,
         seed in 0u64..1000,
     ) {
         prop_assume!(height + 2 * pad >= kernel && width + 2 * pad >= kernel);
-        let g = ConvGeom { channels, height, width, kernel, stride, pad };
+        let g = ConvGeom { channels, height, width, kernel, pad };
         let x = int_data(g.sample_len(), seed);
         let cols = g.col_rows() * g.col_cols();
         let y = int_data(cols, seed ^ 0x5EED);
@@ -195,20 +362,19 @@ proptest! {
     /// `im2col` and `col2im_add` match the per-element oracles bit for
     /// bit on fractional data: `col2im_add` accumulates into a pre-filled
     /// non-zero gradient, so any change to the order of the additions
-    /// shows. Strides, padding and kernels past the plane edges, on
-    /// non-square planes.
+    /// shows. Padding and kernels past the plane edges, on non-square
+    /// planes.
     #[test]
     fn lowering_is_bit_identical_to_per_element_oracle(
         channels in 1usize..4,
         height in 1usize..10,
         width in 1usize..10,
         kernel in 1usize..6,
-        stride in 1usize..4,
         pad in 0usize..4,
         seed in 0u64..1000,
     ) {
         prop_assume!(height + 2 * pad >= kernel && width + 2 * pad >= kernel);
-        let g = ConvGeom { channels, height, width, kernel, stride, pad };
+        let g = ConvGeom { channels, height, width, kernel, pad };
         let x = frac_data(g.sample_len(), seed);
         let mut col = vec![f32::NAN; g.col_rows() * g.col_cols()];
         im2col(&g, &x, &mut col);
@@ -293,13 +459,13 @@ proptest! {
         prop_assert_eq!(bits(&got), want, "gemm_tn {}x{}x{}", m, k, n);
     }
 
-    // ---- conv backends ----
+    // ---- Conv2d ----
 
-    /// Forward and full backward equivalence of the im2col/GEMM and naive
-    /// conv backends within 1e-10, across batch, channels, spatial size and
-    /// both padding policies.
+    /// Forward, input gradient, weight gradient and bias gradient of
+    /// `Conv2d` match the direct convolution within 1e-10, across batch,
+    /// channels, spatial size, kernel and both padding policies.
     #[test]
-    fn conv_backends_equivalent(
+    fn conv_matches_direct_oracle(
         n in 1usize..4,
         in_c in 1usize..3,
         out_c in 1usize..4,
@@ -308,48 +474,54 @@ proptest! {
         same in any::<bool>(),
         seed in 0u64..1000,
     ) {
-        let padding = if same { Padding::Same } else { Padding::Valid };
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
-        let mut a = Conv2d::new(in_c, out_c, k, padding, &mut rng);
-        let mut b = Conv2d::new(in_c, out_c, k, padding, &mut rng);
-        b.set_backend(ConvBackend::NaiveReference);
-        // Integer weights and biases shared by both layers.
-        for conv in [&mut a, &mut b] {
-            let mut params = conv.params_mut();
-            let wlen = params[0].value.len();
-            params[0].value.data_mut().copy_from_slice(&int_data(wlen, seed ^ 0xF00D));
-            let blen = params[1].value.len();
-            params[1].value.data_mut().copy_from_slice(&int_data(blen, seed ^ 0xB1A5));
-        }
-
-        let x = Tensor::from_vec(
-            vec![n, in_c, size, size],
-            int_data(n * in_c * size * size, seed),
-        );
-        let ya = a.forward(&x, Mode::Train);
-        let yb = b.forward(&x, Mode::Train);
-        prop_assert_eq!(ya.shape(), yb.shape());
-        for (p, q) in ya.data().iter().zip(yb.data()) {
-            prop_assert!((f64::from(*p) - f64::from(*q)).abs() < 1e-10, "fwd {} vs {}", p, q);
-        }
-
-        let g = Tensor::from_vec(
-            ya.shape().to_vec(),
-            (0..ya.len()).map(|i| (i % 5) as f32 - 2.0).collect(),
-        );
-        let gxa = a.backward(&g);
-        let gxb = b.backward(&g);
-        for (p, q) in gxa.data().iter().zip(gxb.data()) {
-            prop_assert!((f64::from(*p) - f64::from(*q)).abs() < 1e-10, "dx {} vs {}", p, q);
-        }
-        for (pa, pb) in a.params().iter().zip(b.params()) {
-            for (p, q) in pa.grad.data().iter().zip(pb.grad.data()) {
+        let case = ConvCase { n, in_c, out_c, size, k, same };
+        let x = int_data(case.x_len(), seed);
+        let w = int_data(case.w_len(), seed ^ 0xF00D);
+        let b = int_data(out_c, seed ^ 0xB1A5);
+        let dy: Vec<f32> = (0..case.y_len()).map(|i| (i % 5) as f32 - 2.0).collect();
+        let got = run_conv2d(case, &x, &w, &b, &dy);
+        let want = direct_conv_oracle(case, &x, &w, &b, &dy);
+        for (name, p, q) in [
+            ("fwd", &got.y, &want.y),
+            ("dx", &got.dx, &want.dx),
+            ("dw", &got.dw, &want.dw),
+            ("db", &got.db, &want.db),
+        ] {
+            prop_assert_eq!(p.len(), q.len(), "{} length", name);
+            for (p, q) in p.iter().zip(q) {
                 prop_assert!(
                     (f64::from(*p) - f64::from(*q)).abs() < 1e-10,
-                    "{} grad {} vs {}", pa.name, p, q
+                    "{} {} vs {} ({:?})", name, p, q, case
                 );
             }
         }
+    }
+
+    /// The whole layer, forward and backward, is bit-identical to the
+    /// lowered oracle on fractional data: any change to the order of a
+    /// sum in `Conv2d` (bias before the GEMM, a reordered GEMM, a
+    /// different bias-gradient reduction) shows in `to_bits`.
+    #[test]
+    fn conv_is_bit_identical_to_lowered_oracle(
+        n in 1usize..3,
+        in_c in 1usize..3,
+        out_c in 1usize..4,
+        k in prop::sample::select(vec![1usize, 3, 5]),
+        size in 5usize..10,
+        same in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let case = ConvCase { n, in_c, out_c, size, k, same };
+        let x = frac_data(case.x_len(), seed);
+        let w = frac_data(case.w_len(), seed ^ 0xF00D);
+        let b = frac_data(out_c, seed ^ 0xB1A5);
+        let dy = frac_data(case.y_len(), seed ^ 0xD1);
+        let got = run_conv2d(case, &x, &w, &b, &dy);
+        let want = lowered_conv_oracle(case, &x, &w, &b, &dy);
+        prop_assert_eq!(bits(&got.y), bits(&want.y), "fwd {:?}", case);
+        prop_assert_eq!(bits(&got.dx), bits(&want.dx), "dx {:?}", case);
+        prop_assert_eq!(bits(&got.dw), bits(&want.dw), "dw {:?}", case);
+        prop_assert_eq!(bits(&got.db), bits(&want.db), "db {:?}", case);
     }
 
     // ---- executor sharding ----

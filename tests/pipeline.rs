@@ -12,9 +12,9 @@ use snia_repro::core::train::{
     classifier_scores, feature_matrix, flux_pair_refs, joint_scores, train_classifier,
     train_flux_cnn, ClassifierTrainConfig, FluxTrainConfig, JointExample,
 };
-use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
+use snia_repro::dataset::{render_stamp, split_indices, Dataset, DatasetConfig};
 use snia_repro::nn::serialize::{restore, snapshot};
-use snia_repro::nn::{Mode, Tensor};
+use snia_repro::nn::Mode;
 
 fn small_dataset(seed: u64) -> Dataset {
     Dataset::generate(&DatasetConfig {
@@ -184,10 +184,12 @@ fn rendered_difference_images_are_bounded_after_log_stretch() {
     // a few decades for every sample/epoch combination.
     let ds = small_dataset(14);
     for s in ds.samples.iter().take(10) {
-        let pair = s.flux_pair(0);
-        let img = snia_repro::core::input::preprocess(&pair.reference, &pair.observation, 60);
-        assert!(img.max() < 5.0 && img.min() > -5.0, "sample {}", s.id);
-        let t = Tensor::from_vec(vec![1, 1, 60, 60], img.data().to_vec());
-        assert!(t.all_finite());
+        let px = render_stamp(s, 0, 60, true);
+        assert_eq!(px.len(), 60 * 60);
+        assert!(
+            px.iter().all(|v| v.is_finite() && v.abs() < 5.0),
+            "sample {}",
+            s.id
+        );
     }
 }
