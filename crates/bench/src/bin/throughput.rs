@@ -41,6 +41,14 @@ struct EnginePoint {
     speedup_vs_single: f64,
 }
 
+/// Closed-loop latency with one request in flight, on one worker.
+#[derive(Serialize)]
+struct LoneRequestLatency {
+    requests: usize,
+    p50_ms: f64,
+    p90_ms: f64,
+}
+
 #[derive(Serialize)]
 struct ServeModeResult {
     model: String,
@@ -48,6 +56,7 @@ struct ServeModeResult {
     max_batch: usize,
     single_sample_per_sec: f64,
     engine: Vec<EnginePoint>,
+    lone_request: LoneRequestLatency,
 }
 
 #[derive(Serialize)]
@@ -59,6 +68,9 @@ struct ServeBenchResult {
 }
 
 const MAX_WAIT: Duration = Duration::from_millis(1);
+
+/// Requests timed one at a time for the lone-request latency row.
+const LONE_REQUESTS: usize = 256;
 
 /// Worker counts to sweep, from `--threads 1,4,8` (the default).
 fn thread_counts() -> Vec<usize> {
@@ -91,11 +103,13 @@ fn bench_serve_mode(
     }
     let single_per_sec = requests.len() as f64 / t0.elapsed().as_secs_f64();
 
-    let mut table = Table::new(vec!["mode", "req/s", "speedup"]);
+    let mut table = Table::new(vec!["mode", "req/s", "speedup", "p50 ms", "p90 ms"]);
     table.row(vec![
         "single-sample loop".into(),
         format!("{single_per_sec:.1}"),
         "1.00x".into(),
+        "-".into(),
+        "-".into(),
     ]);
 
     let mut engine_points = Vec::new();
@@ -129,6 +143,8 @@ fn bench_serve_mode(
             format!("engine, {workers} worker(s)"),
             format!("{per_sec:.1}"),
             format!("{speedup:.2}x"),
+            "-".into(),
+            "-".into(),
         ]);
         engine_points.push(EnginePoint {
             threads: workers,
@@ -136,6 +152,14 @@ fn bench_serve_mode(
             speedup_vs_single: speedup,
         });
     }
+    let lone_request = lone_request_latency(bundle, requests, max_batch);
+    table.row(vec![
+        "engine, 1 worker, lone requests".into(),
+        "-".into(),
+        "-".into(),
+        format!("{:.3}", lone_request.p50_ms),
+        format!("{:.3}", lone_request.p90_ms),
+    ]);
     table.print(&format!("Serve throughput — {model}"));
 
     ServeModeResult {
@@ -144,6 +168,47 @@ fn bench_serve_mode(
         max_batch,
         single_sample_per_sec: single_per_sec,
         engine: engine_points,
+        lone_request,
+    }
+}
+
+/// Scores `LONE_REQUESTS` requests in a closed loop, each submitted only
+/// after the previous answer arrived: the latency of an alert that finds
+/// the engine idle.
+fn lone_request_latency(
+    bundle: &ModelBundle,
+    requests: &[Request],
+    max_batch: usize,
+) -> LoneRequestLatency {
+    let engine = Engine::from_bundle(
+        bundle,
+        EngineConfig {
+            max_batch,
+            max_wait: MAX_WAIT,
+            queue_cap: 1024,
+            workers: 1,
+        },
+    )
+    .expect("bundle instantiates");
+    engine.score(requests[0].clone()).expect("warm-up request");
+    let mut ms: Vec<f64> = requests
+        .iter()
+        .cycle()
+        .take(LONE_REQUESTS)
+        .map(|req| {
+            let req = req.clone();
+            let t0 = Instant::now();
+            engine.score(req).expect("engine answers");
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    engine.shutdown();
+    ms.sort_by(f64::total_cmp);
+    let at = |q: f64| ms[((ms.len() - 1) as f64 * q).round() as usize];
+    LoneRequestLatency {
+        requests: ms.len(),
+        p50_ms: at(0.5),
+        p90_ms: at(0.9),
     }
 }
 

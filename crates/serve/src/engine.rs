@@ -4,14 +4,20 @@
 //! the served model, rejects them with [`ServeError::Overloaded`] when the
 //! bounded queue is full, and otherwise returns a [`Ticket`] the caller
 //! blocks on. Worker threads (one bit-identical model replica each) drain
-//! the queue in dynamic batches: a batch is cut as soon as `max_batch`
-//! requests are pending or the *oldest* pending request has waited
-//! `max_wait` — so a lone request still gets an answer within the latency
-//! budget, while bursts amortise into full batches.
+//! the queue in dynamic batches, and batching is work-conserving:
+//!
+//! * a worker that found the queue empty and parked (or has not scored a
+//!   batch yet) cuts a batch of up to `max_batch` requests as soon as it
+//!   sees pending work, so a request that finds a worker idle is scored
+//!   at once;
+//! * a worker that comes back from a batch to pending requests lingers
+//!   for batch-mates until `max_batch` are pending or the *oldest* has
+//!   waited `max_wait`, so requests queued behind busy workers amortise
+//!   into full batches while their wait stays bounded.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Instant;
 
@@ -24,7 +30,10 @@ use crate::bundle::{BundleError, ModelBundle, ModelKind, ServedModel};
 pub struct EngineConfig {
     /// Flush a batch as soon as this many requests are pending.
     pub max_batch: usize,
-    /// Flush a batch once the oldest pending request has waited this long.
+    /// How long requests queued behind busy workers wait for batch-mates:
+    /// a worker returning from a batch flushes once the oldest pending
+    /// request has waited this long. A worker that was idle when work
+    /// arrived does not wait at all.
     pub max_wait: std::time::Duration,
     /// Submissions beyond this many queued requests are shed with
     /// [`ServeError::Overloaded`].
@@ -245,40 +254,43 @@ impl Engine {
         assert!(cfg.max_batch > 0, "max_batch must be positive");
         assert!(cfg.queue_cap > 0, "queue_cap must be positive");
         assert!(cfg.workers > 0, "workers must be positive");
-        let spec = InputSpec {
-            kind: model.kind(),
-            feature_len: model.feature_len(),
-            crop: model.crop(),
-        };
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(QueueState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            nonempty: Condvar::new(),
-        });
-        let mut models = Vec::with_capacity(cfg.workers);
+        let mut engine = Engine::without_workers(&model, cfg);
         for _ in 1..cfg.workers {
-            models.push(model.replica());
+            engine.add_worker(model.replica());
         }
-        models.push(model);
-        let handles = models
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut m)| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("snia-serve-{i}"))
-                    .spawn(move || worker_loop(&shared, &cfg, &mut m))
-                    .expect("spawn serve worker")
-            })
-            .collect();
+        engine.add_worker(model);
+        engine
+    }
+
+    /// An engine that accepts submissions but has nobody scoring them yet.
+    fn without_workers(model: &ServedModel, cfg: EngineConfig) -> Engine {
         Engine {
-            shared,
-            handles,
-            spec,
+            shared: Arc::new(Shared {
+                queue: Mutex::new(QueueState {
+                    jobs: VecDeque::new(),
+                    shutdown: false,
+                }),
+                nonempty: Condvar::new(),
+            }),
+            handles: Vec::with_capacity(cfg.workers),
+            spec: InputSpec {
+                kind: model.kind(),
+                feature_len: model.feature_len(),
+                crop: model.crop(),
+            },
             cfg,
         }
+    }
+
+    /// Starts one more worker thread scoring on `model`.
+    fn add_worker(&mut self, mut model: ServedModel) {
+        let shared = Arc::clone(&self.shared);
+        let cfg = self.cfg;
+        let handle = thread::Builder::new()
+            .name(format!("snia-serve-{}", self.handles.len()))
+            .spawn(move || worker_loop(&shared, &cfg, &mut model))
+            .expect("spawn serve worker");
+        self.handles.push(handle);
     }
 
     /// Loads, instantiates, and starts serving a bundle.
@@ -366,26 +378,34 @@ impl Drop for Engine {
     }
 }
 
-/// Pulls the next batch off the queue, or `None` once shutdown has begun
-/// and the queue is drained.
+/// Pulls the next batch off the queue `q` guards, or `None` once shutdown
+/// has begun and the queue is drained.
 ///
-/// A batch is cut when any of: `max_batch` requests are pending, the
-/// oldest pending request has aged past `max_wait`, or shutdown was
-/// requested (drain without waiting out the budget). Otherwise the worker
-/// sleeps on the condvar until the deadline of the oldest request.
-fn next_batch(shared: &Shared, cfg: &EngineConfig) -> Option<Vec<Job>> {
-    let mut q = shared.queue.lock().expect("serve queue poisoned");
+/// `idle` says the worker has not scored a batch yet; a worker that parks
+/// on the empty queue becomes idle too. A batch is cut when any of: the
+/// worker is idle, `max_batch` requests are pending, the oldest pending
+/// request has aged past `max_wait`, or shutdown was requested (drain
+/// without waiting out the budget). Otherwise — the worker came back from
+/// a batch to a partial queue — it sleeps on the condvar until the
+/// deadline of the oldest request.
+fn next_batch<'a>(
+    shared: &'a Shared,
+    mut q: MutexGuard<'a, QueueState>,
+    cfg: &EngineConfig,
+    mut idle: bool,
+) -> Option<Vec<Job>> {
     loop {
         if q.jobs.is_empty() {
             if q.shutdown {
                 return None;
             }
+            idle = true;
             q = shared.nonempty.wait(q).expect("serve queue poisoned");
             continue;
         }
         let now = Instant::now();
         let deadline = q.jobs.front().expect("nonempty").enqueued + cfg.max_wait;
-        if q.jobs.len() >= cfg.max_batch || q.shutdown || now >= deadline {
+        if idle || q.jobs.len() >= cfg.max_batch || q.shutdown || now >= deadline {
             let n = q.jobs.len().min(cfg.max_batch);
             let batch: Vec<Job> = q.jobs.drain(..n).collect();
             let depth = q.jobs.len();
@@ -419,6 +439,10 @@ fn run_batch(model: &mut ServedModel, batch: Vec<Job>) {
     counter_add("serve.requests_total", batch.len() as u64);
     for (job, score) in batch.into_iter().zip(scores) {
         observe(
+            "serve.queue_wait_ns",
+            started.duration_since(job.enqueued).as_nanos() as f64,
+        );
+        observe(
             "serve.latency_ns",
             done.duration_since(job.enqueued).as_nanos() as f64,
         );
@@ -431,8 +455,15 @@ fn run_batch(model: &mut ServedModel, batch: Vec<Job>) {
 }
 
 fn worker_loop(shared: &Shared, cfg: &EngineConfig, model: &mut ServedModel) {
-    while let Some(batch) = next_batch(shared, cfg) {
+    let mut idle = true;
+    while let Some(batch) = next_batch(
+        shared,
+        shared.queue.lock().expect("serve queue poisoned"),
+        cfg,
+        idle,
+    ) {
         run_batch(model, batch);
+        idle = false;
     }
 }
 
@@ -459,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_flush_answers_lone_requests() {
+    fn lone_request_is_answered_bit_identically() {
         let engine = Engine::start(
             tiny_model(1),
             EngineConfig {
@@ -479,17 +510,16 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_overloaded() {
-        // One worker, a huge batch threshold, and a long deadline: the
-        // queued jobs sit untouched while we overfill the queue.
-        let engine = Engine::start(
-            tiny_model(2),
-            EngineConfig {
-                max_batch: 64,
-                max_wait: Duration::from_millis(500),
-                queue_cap: 4,
-                workers: 1,
-            },
-        );
+        // No worker runs until the queue has been overfilled, so the
+        // queued jobs sit untouched whatever the thread timing.
+        let cfg = EngineConfig {
+            max_batch: 64,
+            max_wait: Duration::from_millis(1),
+            queue_cap: 4,
+            workers: 1,
+        };
+        let model = tiny_model(2);
+        let mut engine = Engine::without_workers(&model, cfg);
         let mut tickets = Vec::new();
         for i in 0..4 {
             tickets.push(engine.submit(feature_request(i, 200 + i)).unwrap());
@@ -501,10 +531,94 @@ mod tests {
             }
             other => panic!("expected Overloaded, got {other:?}"),
         }
+        engine.add_worker(model);
         for (i, t) in tickets.into_iter().enumerate() {
             assert_eq!(t.wait().unwrap().id, i as u64);
         }
         engine.shutdown();
+    }
+
+    /// An engine with no workers, so a test can drive `next_batch` itself.
+    fn unstarted(max_batch: usize, max_wait: Duration) -> Engine {
+        let cfg = EngineConfig {
+            max_batch,
+            max_wait,
+            ..EngineConfig::default()
+        };
+        Engine::without_workers(&tiny_model(0), cfg)
+    }
+
+    fn push(engine: &Engine, id: u64) {
+        engine.submit(feature_request(id, id)).unwrap();
+    }
+
+    fn pull(engine: &Engine, idle: bool) -> Option<Vec<u64>> {
+        let q = engine.shared.queue.lock().unwrap();
+        let batch = next_batch(&engine.shared, q, &engine.cfg, idle)?;
+        Some(batch.iter().map(|j| j.req.id).collect())
+    }
+
+    #[test]
+    fn parked_worker_cuts_a_batch_as_soon_as_work_arrives() {
+        let engine = unstarted(64, Duration::from_secs(10));
+        let started = Instant::now();
+        let batch = thread::scope(|s| {
+            // The pusher needs the lock, which this thread holds until
+            // `next_batch` parks on the empty queue and releases it.
+            let q = engine.shared.queue.lock().unwrap();
+            s.spawn(|| push(&engine, 7));
+            next_batch(&engine.shared, q, &engine.cfg, false)
+        });
+        assert_eq!(batch.unwrap()[0].req.id, 7);
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn fresh_worker_cuts_pending_work_at_once() {
+        let engine = unstarted(64, Duration::from_secs(10));
+        push(&engine, 3);
+        push(&engine, 4);
+        let started = Instant::now();
+        assert_eq!(pull(&engine, true).unwrap(), [3, 4]);
+        assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn returning_worker_lingers_for_batch_mates() {
+        let max_wait = Duration::from_millis(50);
+        let engine = unstarted(3, max_wait);
+        let before_push = Instant::now();
+        for id in 0..5 {
+            push(&engine, id);
+        }
+        // A full batch is cut at once; the remainder waits out `max_wait`.
+        assert_eq!(pull(&engine, false).unwrap(), [0, 1, 2]);
+        assert_eq!(pull(&engine, false).unwrap(), [3, 4]);
+        assert!(before_push.elapsed() >= max_wait);
+    }
+
+    #[test]
+    fn shutdown_cuts_without_waiting_and_then_ends() {
+        let engine = unstarted(64, Duration::from_secs(10));
+        push(&engine, 1);
+        push(&engine, 2);
+        engine.shared.queue.lock().unwrap().shutdown = true;
+        let started = Instant::now();
+        assert_eq!(pull(&engine, false).unwrap(), [1, 2]);
+        assert!(started.elapsed() < Duration::from_secs(5));
+        assert!(pull(&engine, false).is_none());
+
+        // A worker parked on the empty queue is released by shutdown too.
+        let engine = unstarted(64, Duration::from_secs(10));
+        let end = thread::scope(|s| {
+            let q = engine.shared.queue.lock().unwrap();
+            s.spawn(|| {
+                engine.shared.queue.lock().unwrap().shutdown = true;
+                engine.shared.nonempty.notify_all();
+            });
+            next_batch(&engine.shared, q, &engine.cfg, false)
+        });
+        assert!(end.is_none());
     }
 
     #[test]

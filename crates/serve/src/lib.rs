@@ -14,11 +14,15 @@
 //!   classifier or the end-to-end joint image model for inference.
 //! * [`engine`] — the **micro-batching engine**: requests land on a
 //!   bounded in-process queue and a worker pool (one model replica per
-//!   worker, built with [`snia_core::Model::replicate`]) drains them in dynamic batches. A batch is flushed as
-//!   soon as `max_batch` requests are pending *or* the oldest pending
-//!   request has waited `max_wait` — so throughput comes from batching
-//!   but tail latency stays bounded. When the queue is full, submissions
-//!   are shed with a typed [`ServeError::Overloaded`] instead of blocking.
+//!   worker, built with [`snia_core::Model::replicate`]) drains them in
+//!   dynamic batches. Batching is work-conserving: a worker that was
+//!   idle scores what it wakes to at once (up to `max_batch` requests),
+//!   so a request that finds a worker free never waits out a deadline.
+//!   Requests that queue behind busy workers wait for batch-mates until
+//!   `max_batch` are pending *or* the oldest has waited `max_wait` — so
+//!   throughput comes from batching under load but tail latency stays
+//!   bounded. When the queue is full, submissions are shed with a typed
+//!   [`ServeError::Overloaded`] instead of blocking.
 //! * [`wire`] — the JSONL request/response format used by `snia serve`.
 //!
 //! Batching never changes answers: evaluation-mode forward passes are
@@ -28,8 +32,10 @@
 //! it is scored alone, inside any batch, or by any worker replica. The
 //! golden suite in `tests/golden.rs` pins this.
 //!
-//! Telemetry (`serve.*`): `serve.queue_depth` gauge, `serve.batch_size`
-//! and `serve.latency_ns` histograms (p50/p99 via the registry snapshot),
+//! Telemetry (`serve.*`): `serve.queue_depth` gauge; histograms (p50/p99
+//! via the registry snapshot) of `serve.batch_size`, `serve.queue_wait_ns`
+//! (per request, enqueue to batch cut), `serve.batch_ns` (per batch,
+//! compute) and `serve.latency_ns` (per request, enqueue to answer);
 //! `serve.requests_total` / `serve.batches_total` / `serve.shed_total`
 //! counters.
 //!

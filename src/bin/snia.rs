@@ -69,7 +69,8 @@ COMMANDS:
                  --out <path>    scored JSONL, - for stdout  (default -)
                  --workers <n>   worker threads        (default 1)
                  --max-batch <n> flush threshold       (default 32)
-                 --max-wait-ms <n>  latency budget     (default 2)
+                 --max-wait-ms <n>  how long requests queued behind busy
+                                    workers wait for batch-mates (default 2)
                  --queue-cap <n> backpressure bound    (default 1024)
     export     write all light curves in SNPCC-like text format
                  --out <path>    output file           (default lightcurves.dat)
