@@ -12,7 +12,7 @@
 //!   per-type goodness-of-fit features, fed to a random forest
 //!   (Lochner et al. 2016's best pipeline, which also covers the
 //!   Möller et al. 2016 BDT approach in spirit).
-//! * [`rnn`] — a GRU sequence classifier over multi-epoch photometry
+//! * [`rnn`] — an LSTM sequence classifier over multi-epoch photometry
 //!   (Charnock & Moss 2016).
 //! * [`random_forest`] — the from-scratch random-forest learner used by the
 //!   Lochner-style pipeline (CART trees, bootstrap bagging, √d feature
@@ -30,4 +30,4 @@ pub mod rnn;
 pub use lochner::LochnerPipeline;
 pub use poznanski::PoznanskiClassifier;
 pub use random_forest::RandomForest;
-pub use rnn::GruClassifier;
+pub use rnn::LstmClassifier;

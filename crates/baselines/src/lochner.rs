@@ -125,11 +125,6 @@ impl LochnerPipeline {
             })
             .collect()
     }
-
-    /// Whether the pipeline uses the true redshift.
-    pub fn uses_redshift(&self) -> bool {
-        self.use_redshift
-    }
 }
 
 #[cfg(test)]
@@ -173,14 +168,6 @@ mod tests {
         let labels: Vec<bool> = te.iter().map(|&i| d.samples[i].is_ia()).collect();
         let a = auc(&scores, &labels);
         assert!(a > 0.7, "AUC {a}");
-    }
-
-    #[test]
-    fn redshift_flag_round_trips() {
-        let d = ds();
-        let (tr, ..) = split_indices(d.len(), 3);
-        let pipe = LochnerPipeline::fit(&d, &tr, 4, false, &ForestConfig::default());
-        assert!(!pipe.uses_redshift());
     }
 
     #[test]

@@ -130,11 +130,6 @@ impl RandomForest {
         self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
     }
 
-    /// Probabilities for many samples.
-    pub fn predict_batch(&self, x: &[Vec<f64>]) -> Vec<f64> {
-        x.iter().map(|r| self.predict_proba(r)).collect()
-    }
-
     /// Number of trees.
     pub fn n_trees(&self) -> usize {
         self.trees.len()

@@ -1,9 +1,8 @@
 //! Recurrent sequence classification of multi-epoch photometry
 //! (Charnock & Moss 2016).
 //!
-//! The original work trains LSTMs over SNPCC flux sequences. Here a
-//! recurrent cell (LSTM by default, as in the original; GRU available)
-//! from `snia-nn` consumes the campaign's photometric points in time
+//! The original work trains LSTMs over SNPCC flux sequences. Here an
+//! LSTM from `snia-nn` consumes the campaign's photometric points in time
 //! order; each step's input encodes the normalised date, the magnitude and
 //! a one-hot band indicator, with an optional redshift channel.
 
@@ -13,7 +12,7 @@ use rand::SeedableRng;
 
 use snia_dataset::{Dataset, SampleSpec};
 use snia_lightcurve::Band;
-use snia_nn::layers::{Gru, Linear, Lstm};
+use snia_nn::layers::{Linear, Lstm};
 use snia_nn::loss::{bce_with_logits, sigmoid_probs};
 use snia_nn::optim::{Adam, Optimizer};
 use snia_nn::{Layer, Mode, Tensor};
@@ -24,21 +23,9 @@ use crate::fitting::FIT_MAG_LIMIT;
 /// redshift (zero when withheld).
 const STEP_DIM: usize = 8;
 
-/// Recurrent cell flavour for the sequence classifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellKind {
-    /// Gated recurrent unit (Cho et al. 2014).
-    Gru,
-    /// Long short-term memory (Hochreiter & Schmidhuber 1997), as in
-    /// Charnock & Moss (2016).
-    Lstm,
-}
-
 /// Training hyper-parameters for the recurrent baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GruTrainConfig {
-    /// Recurrent cell flavour.
-    pub cell: CellKind,
+pub struct LstmTrainConfig {
     /// Hidden state width.
     pub hidden: usize,
     /// Training epochs.
@@ -51,10 +38,9 @@ pub struct GruTrainConfig {
     pub seed: u64,
 }
 
-impl Default for GruTrainConfig {
+impl Default for LstmTrainConfig {
     fn default() -> Self {
-        GruTrainConfig {
-            cell: CellKind::Lstm,
+        LstmTrainConfig {
             hidden: 24,
             epochs: 25,
             batch_size: 32,
@@ -64,42 +50,10 @@ impl Default for GruTrainConfig {
     }
 }
 
-/// The recurrent cell, behind one interface. A model holds exactly one
-/// cell, so the Gru/Lstm size difference is not worth boxing over.
-#[allow(clippy::large_enum_variant)]
+/// The recurrent sequence classifier (LSTM + linear head).
 #[derive(Debug)]
-enum Cell {
-    Gru(Gru),
-    Lstm(Lstm),
-}
-
-impl Cell {
-    fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        match self {
-            Cell::Gru(g) => g.forward(x, mode),
-            Cell::Lstm(l) => l.forward(x, mode),
-        }
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        match self {
-            Cell::Gru(g) => g.backward(grad),
-            Cell::Lstm(l) => l.backward(grad),
-        }
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut snia_nn::Param> {
-        match self {
-            Cell::Gru(g) => g.params_mut(),
-            Cell::Lstm(l) => l.params_mut(),
-        }
-    }
-}
-
-/// The recurrent sequence classifier (GRU or LSTM cell + linear head).
-#[derive(Debug)]
-pub struct GruClassifier {
-    cell: Cell,
+pub struct LstmClassifier {
+    lstm: Lstm,
     head: Linear,
     use_redshift: bool,
     epochs_used: usize,
@@ -152,7 +106,7 @@ fn batch(
     )
 }
 
-impl GruClassifier {
+impl LstmClassifier {
     /// Trains the classifier on the training indices using the first
     /// `epochs` epoch sets.
     ///
@@ -164,7 +118,7 @@ impl GruClassifier {
         train_idx: &[usize],
         epochs: usize,
         use_redshift: bool,
-        cfg: &GruTrainConfig,
+        cfg: &LstmTrainConfig,
     ) -> Self {
         assert!(!train_idx.is_empty(), "empty training set");
         assert!(
@@ -172,12 +126,8 @@ impl GruClassifier {
             "invalid epoch count"
         );
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let cell = match cfg.cell {
-            CellKind::Gru => Cell::Gru(Gru::new(STEP_DIM, cfg.hidden, &mut rng)),
-            CellKind::Lstm => Cell::Lstm(Lstm::new(STEP_DIM, cfg.hidden, &mut rng)),
-        };
-        let mut model = GruClassifier {
-            cell,
+        let mut model = LstmClassifier {
+            lstm: Lstm::new(STEP_DIM, cfg.hidden, &mut rng),
             head: Linear::new(cfg.hidden, 1, &mut rng),
             use_redshift,
             epochs_used: epochs,
@@ -188,18 +138,18 @@ impl GruClassifier {
             order.shuffle(&mut rng);
             for chunk in order.chunks(cfg.batch_size) {
                 let (x, t, _) = batch(ds, chunk, epochs, use_redshift);
-                let h = model.cell.forward(&x, Mode::Train);
+                let h = model.lstm.forward(&x, Mode::Train);
                 let y = model.head.forward(&h, Mode::Train);
                 let (_, grad) = bce_with_logits(&y, &t);
-                for p in model.cell.params_mut() {
+                for p in model.lstm.params_mut() {
                     p.zero_grad();
                 }
                 for p in model.head.params_mut() {
                     p.zero_grad();
                 }
                 let gh = model.head.backward(&grad);
-                model.cell.backward(&gh);
-                let mut params = model.cell.params_mut();
+                model.lstm.backward(&gh);
+                let mut params = model.lstm.params_mut();
                 params.extend(model.head.params_mut());
                 opt.step(&mut params);
             }
@@ -212,7 +162,7 @@ impl GruClassifier {
         let mut out = Vec::with_capacity(idx.len());
         for chunk in idx.chunks(64) {
             let (x, _, _) = batch(ds, chunk, self.epochs_used, self.use_redshift);
-            let h = self.cell.forward(&x, Mode::Eval);
+            let h = self.lstm.forward(&x, Mode::Eval);
             let y = self.head.forward(&h, Mode::Eval);
             out.extend(sigmoid_probs(&y).data().iter().map(|&p| f64::from(p)));
         }
@@ -252,12 +202,12 @@ mod tests {
             seed: 92,
         });
         let (tr, _, te) = split_indices(ds.len(), 5);
-        let mut model = GruClassifier::fit(
+        let mut model = LstmClassifier::fit(
             &ds,
             &tr,
             4,
             true,
-            &GruTrainConfig {
+            &LstmTrainConfig {
                 epochs: 10,
                 ..Default::default()
             },
@@ -276,6 +226,6 @@ mod tests {
             catalog_size: 50,
             seed: 93,
         });
-        GruClassifier::fit(&ds, &[], 4, false, &GruTrainConfig::default());
+        LstmClassifier::fit(&ds, &[], 4, false, &LstmTrainConfig::default());
     }
 }

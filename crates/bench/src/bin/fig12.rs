@@ -30,11 +30,7 @@ struct Fig12Result {
 /// stage checkpoints into its own subdirectory of the `--resume` /
 /// `SNIA_RESUME` root so a killed run restarts mid-pipeline.
 fn stage_res(root: &Option<std::path::PathBuf>, stage: &str) -> Resilience {
-    let mut res = Resilience::from_env();
-    if let Some(root) = root {
-        res = res.with_checkpoint_dir(root.join(stage));
-    }
-    res
+    Resilience::from_env(root.as_ref().map(|root| root.join(stage)))
 }
 
 fn one_per_sample(idx: &[usize]) -> Vec<JointExample> {

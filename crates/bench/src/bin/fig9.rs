@@ -54,10 +54,11 @@ fn main() {
             seed: cfg.seed + hidden as u64,
             threads: cfg.threads,
         };
-        let mut res = Resilience::from_env();
-        if let Some(root) = &ckpt_root {
-            res = res.with_checkpoint_dir(root.join(format!("hidden{hidden}")));
-        }
+        let res = Resilience::from_env(
+            ckpt_root
+                .as_ref()
+                .map(|root| root.join(format!("hidden{hidden}"))),
+        );
         train_classifier_resilient(&mut clf, (&xt, &tt), (&xv, &tv), &tcfg, &res)
             .unwrap_or_else(|e| panic!("fig9 training (hidden {hidden}) failed: {e}"));
         let scores = classifier_scores(&mut clf, &xe);

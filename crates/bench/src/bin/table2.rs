@@ -5,7 +5,7 @@
 //! * Poznanski2007 — Bayesian single-epoch, with and without redshift;
 //! * Lochner2016 — multi-epoch template-fit features + random forest,
 //!   with and without redshift (also the Möller2016 tree-based analogue);
-//! * Charnock2016 — multi-epoch GRU sequence classifier;
+//! * Charnock2016 — multi-epoch LSTM sequence classifier;
 //! * Proposed — single-epoch and multi-epoch light-curve-feature
 //!   classifier (the paper's Table 2 entries are the ground-truth-feature
 //!   results of Figures 9/10).
@@ -21,7 +21,7 @@ use serde::Serialize;
 use snia_baselines::lochner::LochnerPipeline;
 use snia_baselines::poznanski::{epoch_observations, PoznanskiClassifier, PoznanskiConfig};
 use snia_baselines::random_forest::ForestConfig;
-use snia_baselines::rnn::{GruClassifier, GruTrainConfig};
+use snia_baselines::rnn::{LstmClassifier, LstmTrainConfig};
 use snia_bench::{progress, write_json, Table};
 use snia_core::classifier::LightCurveClassifier;
 use snia_core::eval::auc;
@@ -120,14 +120,14 @@ fn main() {
     });
 
     // ---- Charnock & Moss 2016: recurrent sequences ----
-    progress!("[3/5] Charnock2016 (GRU sequences)...");
-    let gcfg = GruTrainConfig {
+    progress!("[3/5] Charnock2016 (LSTM sequences)...");
+    let lcfg = LstmTrainConfig {
         epochs: cfg.scaled(20),
         ..Default::default()
     };
     for use_z in [true, false] {
-        let mut gru = GruClassifier::fit(&ds, &tr, 4, use_z, &gcfg);
-        let scores = gru.score(&ds, &te);
+        let mut lstm = LstmClassifier::fit(&ds, &tr, 4, use_z, &lcfg);
+        let scores = lstm.score(&ds, &te);
         let a = auc(&scores, &test_labels);
         progress!("    {}: {a:.3}", if use_z { "with z" } else { "without z" });
         rows.push(Row {

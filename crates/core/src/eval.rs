@@ -121,17 +121,6 @@ pub fn accuracy(scores: &[f64], labels: &[bool], threshold: f64) -> f64 {
     correct as f64 / scores.len() as f64
 }
 
-/// The best accuracy over all thresholds (the operating point a validation
-/// set would pick).
-pub fn best_accuracy(scores: &[f64], labels: &[bool]) -> f64 {
-    let mut thresholds: Vec<f64> = scores.to_vec();
-    thresholds.push(f64::INFINITY);
-    thresholds
-        .iter()
-        .map(|&t| accuracy(scores, labels, t))
-        .fold(0.0, f64::max)
-}
-
 /// True-positive rate at the largest threshold whose false-positive rate
 /// does not exceed `max_fpr` (e.g. "TPR at FPR = 1%", the bogus-rejection
 /// literature's metric).
@@ -284,7 +273,6 @@ mod tests {
         let scores = [0.9, 0.6, 0.4, 0.1];
         let labels = [true, false, true, false];
         assert_eq!(accuracy(&scores, &labels, 0.5), 0.5);
-        assert_eq!(best_accuracy(&scores, &labels), 0.75);
     }
 
     #[test]

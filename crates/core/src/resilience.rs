@@ -151,6 +151,18 @@ pub enum CheckpointError {
     State(StateError),
     /// The optimizer state carries invalid hyper-parameters.
     Optim(OptimError),
+    /// The optimizer's moment estimates do not fit the model's parameters.
+    Moments {
+        /// Which estimate: `"m"` (first moment) or `"v"` (second).
+        moment: &'static str,
+        /// The parameter whose vector has the wrong length; `None` when
+        /// the number of vectors is wrong.
+        param: Option<usize>,
+        /// Vectors (or scalars of `param`) the model needs.
+        expected: usize,
+        /// Vectors (or scalars of `param`) the checkpoint holds.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -174,6 +186,24 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Model(e) => write!(f, "checkpoint does not fit model: {e}"),
             CheckpointError::State(e) => write!(f, "checkpoint extra state mismatch: {e}"),
             CheckpointError::Optim(e) => write!(f, "invalid optimizer state: {e}"),
+            CheckpointError::Moments {
+                moment,
+                param: None,
+                expected,
+                found,
+            } => write!(
+                f,
+                "optimizer state has {found} `{moment}` vectors but the model has {expected} parameters"
+            ),
+            CheckpointError::Moments {
+                moment,
+                param: Some(i),
+                expected,
+                found,
+            } => write!(
+                f,
+                "optimizer `{moment}` vector {i} has {found} values but parameter {i} has {expected}"
+            ),
         }
     }
 }
@@ -625,23 +655,13 @@ impl Resilience {
 
     /// Checkpointing into `dir` with the default watchdog.
     pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
-        Resilience {
-            checkpoint_dir: Some(dir.into()),
-            watchdog: Some(WatchdogConfig::default()),
-            faults: FaultPlan::none(),
-        }
+        Resilience::new(Some(dir.into()), FaultPlan::none())
     }
 
-    /// Policy from the environment: `SNIA_RESUME` names the checkpoint
-    /// directory and `SNIA_FAULT` the injection plan (malformed plans are
-    /// reported to stderr and ignored). The watchdog is on whenever either
-    /// is configured.
-    pub fn from_env() -> Self {
-        let checkpoint_dir = std::env::var_os("SNIA_RESUME").map(PathBuf::from);
-        let faults = FaultPlan::from_env().unwrap_or_else(|e| {
-            eprintln!("warning: ignoring SNIA_FAULT: {e}");
-            FaultPlan::none()
-        });
+    /// Checkpointing into `checkpoint_dir` (none when `None`) under the
+    /// fault plan `faults`. The default watchdog is on whenever there is a
+    /// directory or a fault to inject.
+    pub fn new(checkpoint_dir: Option<PathBuf>, faults: FaultPlan) -> Self {
         let active = checkpoint_dir.is_some() || !faults.is_empty();
         Resilience {
             checkpoint_dir,
@@ -650,13 +670,16 @@ impl Resilience {
         }
     }
 
-    /// Returns the policy with the checkpoint directory replaced.
-    pub fn with_checkpoint_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint_dir = Some(dir.into());
-        if self.watchdog.is_none() {
-            self.watchdog = Some(WatchdogConfig::default());
-        }
-        self
+    /// [`Resilience::new`] with the `SNIA_FAULT` injection plan (a
+    /// malformed plan is reported to stderr and ignored). The caller
+    /// resolves the checkpoint directory, normally with
+    /// [`crate::resume_from_env_args`].
+    pub fn from_env(checkpoint_dir: Option<PathBuf>) -> Self {
+        let faults = FaultPlan::from_env().unwrap_or_else(|e| {
+            eprintln!("warning: ignoring SNIA_FAULT: {e}");
+            FaultPlan::none()
+        });
+        Resilience::new(checkpoint_dir, faults)
     }
 }
 
@@ -688,8 +711,9 @@ pub fn capture_state<M: Model>(
 ///
 /// # Errors
 ///
-/// Returns a [`CheckpointError`] when the state does not fit the model or
-/// carries invalid optimizer hyper-parameters.
+/// Returns a [`CheckpointError`] when the state does not fit the model,
+/// its optimizer moments do not fit the model's parameters, or it carries
+/// invalid optimizer hyper-parameters.
 pub fn restore_state<M: Model>(
     state: &TrainState,
     model: &mut M,
@@ -697,10 +721,39 @@ pub fn restore_state<M: Model>(
     rng: &mut StdRng,
     history: &mut Vec<TrainRecord>,
 ) -> Result<(), CheckpointError> {
+    check_moments(&state.optim, model)?;
     model.restore(&state.model)?;
     opt.load_state(&state.optim)?;
     *rng = StdRng::from_state(state.rng);
     *history = state.history.clone();
+    Ok(())
+}
+
+/// Accepts Adam moments that are both empty (an optimizer that has not
+/// stepped yet) or that both hold one vector per model parameter, each as
+/// long as its parameter. Anything else would make the next `step` panic
+/// or silently skip the tail of a parameter.
+fn check_moments<M: Model>(optim: &AdamState, model: &M) -> Result<(), CheckpointError> {
+    if optim.m.is_empty() && optim.v.is_empty() {
+        return Ok(());
+    }
+    let lens: Vec<usize> = model.params().iter().map(|p| p.len()).collect();
+    for (moment, vecs) in [("m", &optim.m), ("v", &optim.v)] {
+        let mismatch = |param, expected, found| CheckpointError::Moments {
+            moment,
+            param,
+            expected,
+            found,
+        };
+        if vecs.len() != lens.len() {
+            return Err(mismatch(None, lens.len(), vecs.len()));
+        }
+        for (i, (vec, &len)) in vecs.iter().zip(&lens).enumerate() {
+            if vec.len() != len {
+                return Err(mismatch(Some(i), len, vec.len()));
+            }
+        }
+    }
     Ok(())
 }
 

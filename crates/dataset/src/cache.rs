@@ -156,13 +156,6 @@ pub fn enabled() -> bool {
     st.dir.is_some()
 }
 
-/// The active on-disk store directory, if any.
-pub fn cache_dir() -> Option<PathBuf> {
-    let mut st = state().lock().expect("render cache lock");
-    ensure_initialized(&mut st);
-    st.dir.clone()
-}
-
 /// Drops the in-memory layer (the disk store is untouched). Used by the
 /// benchmarks to measure disk-warm performance in-process.
 pub fn clear_memory() {

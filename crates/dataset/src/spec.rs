@@ -112,17 +112,6 @@ impl SampleSpec {
         }
     }
 
-    /// Renders the archival reference image for a band (no supernova),
-    /// under the reference epoch's own conditions — the *unmatched* raw
-    /// archive image.
-    ///
-    /// The reference epoch predates the season by months, so even a
-    /// supernova that exploded early in the season contributes nothing.
-    pub fn reference_image(&self, band: Band) -> Image {
-        let cond = self.ref_conditions[band.index()];
-        render_cutout(&self.cutout_spec(band, 0.0, cond, 1000 + band.index() as u64))
-    }
-
     /// Renders the reference image *PSF-matched* to observation
     /// `obs_index`, as the survey pipeline delivers it: "a reference image
     /// convoluted with an appropriately optimized filter to match the
@@ -239,7 +228,7 @@ mod tests {
         let ds = tiny();
         let s = &ds.samples[0];
         assert_eq!(s.observation_image(3), s.observation_image(3));
-        assert_eq!(s.reference_image(Band::I), s.reference_image(Band::I));
+        assert_eq!(s.matched_reference_image(3), s.matched_reference_image(3));
     }
 
     #[test]

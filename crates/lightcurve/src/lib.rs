@@ -32,7 +32,6 @@
 pub mod band;
 pub mod cosmology;
 pub mod curve;
-pub mod fit;
 pub mod photometry;
 pub mod priors;
 pub mod sntype;

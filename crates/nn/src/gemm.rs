@@ -22,9 +22,13 @@
 //! (the oracle skips zeros; see its docs). Tiles cut by the edge of `out`
 //! run through a stack temporary.
 //!
-//! Two micro-kernels of the same shape exist: an AVX2 one written with
-//! `std::arch` intrinsics, chosen at run time when the CPU has AVX2, and a
-//! portable one used everywhere else. The axpy driver this replaced
+//! There is one micro-kernel, `kernel_portable`, in plain Rust. It is
+//! compiled twice: for the build's baseline target, and inside an
+//! `avx2`-enabled wrapper (`gemm/x86.rs`) that runs when the CPU reports
+//! AVX2 at run time. A hand-written `std::arch` intrinsics kernel buys
+//! nothing: one was bit-identical to that wrapper on the flux CNN's nine
+//! crop-60 conv GEMMs and no faster (EXPERIMENTS.md, "One GEMM
+//! micro-kernel"). The axpy driver the tiled one replaced
 //! streamed each output row through `out_row += a · b_row` per `p`; an
 //! earlier packed tile had lost to it at the SSE2 baseline, but loading
 //! and storing the output row on every multiply-add held it to 3.5–13
@@ -220,14 +224,26 @@ fn pack_panels<const W: usize>(
     }
 }
 
-/// Portable micro-kernel: `C[r][c] += Σ_p a[p·MR+r] · b[p·NR+c]` over
+/// The micro-kernel: `C[r][c] += Σ_p a[p·MR+r] · b[p·NR+c]` over
 /// `p < kc` in ascending order, where `C[r][c]` is `c[r·ldc + c]`.
+///
+/// Each step reads its `A` and `B` values through fixed-size array views,
+/// so the tile loops have constant trip counts and no bounds checks; it is
+/// inlined into every caller, so the compiler vectorises the `NR`-wide
+/// rows for the caller's target features (two AVX vectors per row in
+/// `x86`'s wrapper).
+#[inline(always)]
 fn kernel_portable(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
     let mut acc = [[0.0f32; NR]; MR];
     for (r, row) in acc.iter_mut().enumerate() {
         row.copy_from_slice(&c[r * ldc..r * ldc + NR]);
     }
-    for (ap, bp) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kc) {
+    for (ap, bp) in a[..kc * MR]
+        .chunks_exact(MR)
+        .zip(b[..kc * NR].chunks_exact(NR))
+    {
+        let ap: &[f32; MR] = ap.try_into().expect("MR-wide step");
+        let bp: &[f32; NR] = bp.try_into().expect("NR-wide step");
         for (row, &av) in acc.iter_mut().zip(ap) {
             for (o, &bv) in row.iter_mut().zip(bp) {
                 *o += av * bv;
@@ -239,8 +255,8 @@ fn kernel_portable(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
     }
 }
 
-/// The AVX2 micro-kernel, the one module in the workspace allowed
-/// `unsafe_code`.
+/// The AVX2 build of the micro-kernel, the one module in the workspace
+/// allowed `unsafe_code`.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86;

@@ -2,8 +2,7 @@
 //! processing `(N, T, F)` sequences and returning the final hidden state.
 //!
 //! Charnock & Moss (2016) — the recurrent baseline of Table 2 — used
-//! LSTMs; [`crate::layers::Gru`] and this layer let the baseline switch
-//! cells.
+//! LSTMs; `snia-baselines`' sequence classifier runs this layer.
 
 use rand::Rng;
 

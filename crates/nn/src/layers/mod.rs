@@ -7,7 +7,6 @@ mod activation;
 mod batchnorm;
 mod conv;
 mod flatten;
-mod gru;
 mod highway;
 mod linear;
 mod lstm;
@@ -18,7 +17,6 @@ pub use activation::{sigmoid_scalar, Relu};
 pub use batchnorm::{BatchNorm, BatchNorm1d, BatchNorm2d};
 pub use conv::{Conv2d, Padding};
 pub use flatten::Flatten;
-pub use gru::Gru;
 pub use highway::Highway;
 pub use linear::Linear;
 pub use lstm::Lstm;

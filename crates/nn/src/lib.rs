@@ -12,8 +12,8 @@
 //! * [`Layer`] — the forward/backward building-block trait, with
 //!   implementations for 2-D convolution, batch normalisation (1-D and 2-D),
 //!   parametric ReLU, max pooling, fully-connected layers, highway layers
-//!   (Srivastava et al. 2015), GRUs and LSTMs (for the Charnock-style
-//!   baseline) and ReLU.
+//!   (Srivastava et al. 2015), LSTMs (for the Charnock-style baseline)
+//!   and ReLU.
 //! * [`Sequential`] — a container chaining layers into a network.
 //! * [`optim`] — the Adam optimizer, with a serialisable state for
 //!   checkpoints.
@@ -50,8 +50,9 @@
 //! }
 //! ```
 
-// The AVX2 GEMM micro-kernel (`gemm::x86`) is the one module allowed
-// `unsafe_code`; every other crate in the workspace forbids it, and
+// The AVX2 build of the GEMM micro-kernel (`gemm::x86`) is the one module
+// allowed `unsafe_code`, for its single call into a `#[target_feature]`
+// function; every other crate in the workspace forbids it, and
 // scripts/check.sh fails on the keyword anywhere else.
 #![deny(unsafe_code)]
 #![deny(clippy::undocumented_unsafe_blocks)]

@@ -6,9 +6,9 @@ use crate::layer::Param;
 
 /// An invalid optimizer hyper-parameter.
 ///
-/// Returned by the `try_*` constructors so bad CLI input can be reported
-/// instead of aborting the process; the legacy `new` constructors panic
-/// with the same message.
+/// Returned by [`Adam::try_new`] so bad CLI input can be reported instead
+/// of aborting the process (the legacy [`Adam::new`] panics with the same
+/// message), and by [`Adam::load_state`] for a corrupted checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimError {
     /// Learning rate not positive and finite.
@@ -107,25 +107,10 @@ impl Adam {
     /// Returns [`OptimError::InvalidLearningRate`] unless `lr` is positive
     /// and finite.
     pub fn try_new(lr: f32) -> Result<Self, OptimError> {
-        Self::try_with_betas(lr, 0.9, 0.999)
-    }
-
-    /// Fallible constructor with explicit beta coefficients.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`OptimError`] on a bad learning rate or beta.
-    pub fn try_with_betas(lr: f32, beta1: f32, beta2: f32) -> Result<Self, OptimError> {
-        let lr = check_lr(lr)?;
-        for beta in [beta1, beta2] {
-            if !(0.0..1.0).contains(&beta) {
-                return Err(OptimError::InvalidBeta(beta));
-            }
-        }
         Ok(Adam {
-            lr,
-            beta1,
-            beta2,
+            lr: check_lr(lr)?,
+            beta1: 0.9,
+            beta2: 0.999,
             eps: 1e-8,
             t: 0,
             m: Vec::new(),
@@ -257,10 +242,6 @@ mod tests {
             Adam::try_new(f32::NAN).unwrap_err().to_string(),
             "invalid learning rate NaN"
         );
-        assert_eq!(
-            Adam::try_with_betas(0.1, 0.9, 1.0).unwrap_err(),
-            OptimError::InvalidBeta(1.0)
-        );
         assert!(Adam::try_new(0.1).is_ok());
     }
 
@@ -300,5 +281,8 @@ mod tests {
             Err(OptimError::InvalidLearningRate(_))
         ));
         assert_eq!(opt.learning_rate(), 0.1, "failed load must not mutate");
+        let mut s = opt.state();
+        s.beta2 = 1.0;
+        assert_eq!(opt.load_state(&s), Err(OptimError::InvalidBeta(1.0)));
     }
 }

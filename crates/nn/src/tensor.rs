@@ -140,15 +140,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Row-major strides for the current shape.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.shape.len()];
-        for i in (0..self.shape.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.shape[i + 1];
-        }
-        strides
-    }
-
     /// Value at a multi-dimensional index.
     ///
     /// # Panics
@@ -496,16 +487,6 @@ impl Tensor {
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
-
-    /// Dot product between two tensors of identical shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.shape, other.shape, "dot shape mismatch");
-        self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
-    }
 }
 
 macro_rules! impl_elementwise {
@@ -577,12 +558,6 @@ mod tests {
     #[should_panic(expected = "does not match data length")]
     fn from_vec_length_mismatch_panics() {
         Tensor::from_vec(vec![2, 2], vec![1.0]);
-    }
-
-    #[test]
-    fn strides_row_major() {
-        let t = Tensor::zeros(vec![2, 3, 4]);
-        assert_eq!(t.strides(), vec![12, 4, 1]);
     }
 
     #[test]
@@ -673,11 +648,9 @@ mod tests {
     }
 
     #[test]
-    fn norm_and_dot() {
+    fn norm_is_euclidean() {
         let a = Tensor::from_slice(&[3., 4.]);
         assert!((a.norm() - 5.0).abs() < 1e-6);
-        let b = Tensor::from_slice(&[1., 2.]);
-        assert_eq!(a.dot(&b), 11.0);
     }
 
     #[test]

@@ -97,22 +97,6 @@ impl Image {
         self.data[y * self.width + x] = v;
     }
 
-    /// Adds another image elementwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn add_assign(&mut self, other: &Image) {
-        assert_eq!(
-            (self.width, self.height),
-            (other.width, other.height),
-            "image size mismatch"
-        );
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// Returns `self − other`, the difference image at the heart of
     /// transient detection.
     ///
@@ -379,13 +363,5 @@ mod tests {
         let art = img.to_ascii(8);
         assert!(art.lines().count() >= 4);
         assert!(art.contains('@'));
-    }
-
-    #[test]
-    fn add_assign_accumulates() {
-        let mut a = Image::from_vec(2, 1, vec![1.0, 2.0]);
-        let b = Image::from_vec(2, 1, vec![0.5, 0.5]);
-        a.add_assign(&b);
-        assert_eq!(a.data(), &[1.5, 2.5]);
     }
 }

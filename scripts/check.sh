@@ -21,8 +21,10 @@ done
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-# The AVX2 GEMM micro-kernel is the only code allowed the `unsafe`
-# keyword; snia-nn denies it elsewhere and every other crate forbids it.
+# The one call into the AVX2 build of the GEMM micro-kernel (a
+# `#[target_feature]` function, behind a runtime CPU check) is the only
+# code allowed the `unsafe` keyword; snia-nn denies it elsewhere and every
+# other crate forbids it.
 echo "== unsafe confined to crates/nn/src/gemm/x86.rs =="
 hits=$(git ls-files --cached --others --exclude-standard -- '*.rs' |
     grep -v '^crates/nn/src/gemm/x86\.rs$' |

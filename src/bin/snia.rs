@@ -19,6 +19,7 @@ use rand::SeedableRng;
 use snia_repro::core::classifier::LightCurveClassifier;
 use snia_repro::core::eval::auc;
 use snia_repro::core::resilience::{FaultPlan, Resilience};
+use snia_repro::core::resume_from_env_args;
 use snia_repro::core::train::{
     classifier_scores, feature_matrix, train_classifier_resilient, ClassifierTrainConfig,
 };
@@ -228,16 +229,14 @@ fn cmd_classify(flags: &HashMap<String, String>) -> Result<(), String> {
         xt.shape()[0],
         epochs
     );
-    let mut res = Resilience::from_env();
-    if let Some(dir) = flags.get("resume") {
-        res = res.with_checkpoint_dir(dir);
-    }
-    if let Some(spec) = flags.get("fault") {
-        res.faults = FaultPlan::parse(spec).map_err(|e| format!("--fault: {e}"))?;
-        if res.watchdog.is_none() {
-            res.watchdog = Some(Default::default());
-        }
-    }
+    let dir = resume_from_env_args();
+    let res = match flags.get("fault") {
+        Some(spec) => Resilience::new(
+            dir,
+            FaultPlan::parse(spec).map_err(|e| format!("--fault: {e}"))?,
+        ),
+        None => Resilience::from_env(dir),
+    };
     let hist = train_classifier_resilient(
         &mut clf,
         (&xt, &tt),

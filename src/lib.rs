@@ -7,7 +7,7 @@
 //! This umbrella crate re-exports the workspace's public API:
 //!
 //! * [`nn`] — the from-scratch CPU neural-network library (tensors, conv,
-//!   batch-norm, PReLU, highway, GRU, optimizers, losses).
+//!   batch-norm, PReLU, highway, LSTM, optimizers, losses).
 //! * [`lightcurve`] — supernova light-curve templates, priors, photometry
 //!   and cosmology.
 //! * [`skysim`] — the synthetic sky-survey image simulator (galaxy catalog,
@@ -17,7 +17,7 @@
 //! * [`core`] — the paper's models: band-wise flux CNN, highway light-curve
 //!   classifier, joint fine-tuned model, training loops and metrics.
 //! * [`baselines`] — the Table 2 comparison methods: Bayesian single-epoch
-//!   (Poznanski 2007), template-fit + random forest (Lochner 2016), GRU
+//!   (Poznanski 2007), template-fit + random forest (Lochner 2016), LSTM
 //!   sequences (Charnock & Moss 2016).
 //! * [`serve`] — batched online inference: serialized model bundles, a
 //!   micro-batching engine with latency budgets, and the `snia serve`

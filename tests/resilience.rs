@@ -8,7 +8,8 @@ use snia_repro::core::classifier::LightCurveClassifier;
 use snia_repro::core::flux_cnn::{FluxCnn, PoolKind};
 use snia_repro::core::joint::JointModel;
 use snia_repro::core::resilience::{
-    CheckpointDir, CheckpointError, FaultPlan, Resilience, WatchdogConfig,
+    restore_state, CheckpointDir, CheckpointError, FaultPlan, Guardian, Resilience, TrainState,
+    WatchdogConfig,
 };
 use snia_repro::core::train::{
     classifier_scores, feature_matrix, flux_pair_refs, joint_examples, joint_scores,
@@ -17,6 +18,7 @@ use snia_repro::core::train::{
 };
 use snia_repro::core::Model;
 use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
+use snia_repro::nn::optim::Adam;
 use snia_repro::nn::serialize::snapshot;
 
 fn small_dataset(seed: u64) -> Dataset {
@@ -330,4 +332,72 @@ fn restoring_into_a_mismatched_model_is_a_typed_error() {
         matches!(wide.restore(&state), Err(CheckpointError::Model(_))),
         "shape mismatch must surface as CheckpointError::Model"
     );
+}
+
+#[test]
+fn optimizer_moments_that_do_not_fit_the_model_are_a_typed_error() {
+    let ds = small_dataset(26);
+    let (tr, va, _) = split_indices(ds.len(), 1);
+    let (xt, tt, _) = feature_matrix(&ds, &tr, 1);
+    let (xv, tv, _) = feature_matrix(&ds, &va, 1);
+
+    let dir = scratch_dir("moments");
+    let mut clf = fresh_clf();
+    train_classifier_resilient(
+        &mut clf,
+        (&xt, &tt),
+        (&xv, &tv),
+        &clf_config(1, 1),
+        &Resilience::with_dir(&dir),
+    )
+    .expect("seed run");
+    let saved = CheckpointDir::new(&dir)
+        .load()
+        .expect("checkpoint readable")
+        .expect("checkpoint present");
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(!saved.optim.m.is_empty(), "a trained optimizer has moments");
+
+    let restore = |state: &TrainState| {
+        restore_state(
+            state,
+            &mut fresh_clf(),
+            &mut Adam::new(0.1),
+            &mut StdRng::seed_from_u64(0),
+            &mut Vec::new(),
+        )
+    };
+    // The state as captured, and one from an optimizer that never
+    // stepped, both restore.
+    restore(&saved).expect("captured state restores");
+    let mut fresh = saved.clone();
+    fresh.optim.m.clear();
+    fresh.optim.v.clear();
+    restore(&fresh).expect("fresh optimizer state restores");
+
+    let mut short = saved.clone();
+    short.optim.m.last_mut().expect("moments").pop();
+    let mut missing = saved.clone();
+    missing.optim.v.pop();
+    for (name, bad) in [("short-m", short), ("missing-v", missing)] {
+        match restore(&bad) {
+            Err(CheckpointError::Moments { .. }) => {}
+            other => panic!("{name}: expected CheckpointError::Moments, got {other:?}"),
+        }
+        // The same state read back from a checkpoint directory.
+        let dir = scratch_dir(name);
+        CheckpointDir::new(&dir).save(&bad).expect("save");
+        let res = Resilience::with_dir(&dir);
+        let begun = Guardian::new(&res).begin(
+            &mut fresh_clf(),
+            &mut Adam::new(0.1),
+            &mut StdRng::seed_from_u64(0),
+            &mut Vec::new(),
+        );
+        match begun {
+            Err(CheckpointError::Moments { .. }) => {}
+            other => panic!("{name}: expected CheckpointError::Moments, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
