@@ -4,14 +4,17 @@
 //! output by construction, so this is pure wall-clock — and (2) one
 //! training epoch's worth of stamp rendering on the paper's 65×65
 //! geometry, uncached vs. a cold cache fill vs. warm (memory) and warm
-//! (disk) re-reads. Writes `BENCH_render.json` at the workspace root,
-//! with the host's core count, SIMD flags and GEMM micro-kernel.
+//! (disk) re-reads, plus the per-stamp cost of the cache key alone.
+//! Writes `BENCH_render.json` at the workspace root, with the host's core
+//! count, SIMD flags and GEMM micro-kernel. The `epochs` of the file it
+//! replaces are kept as `previous_epochs`, so running it at a parent
+//! commit and then at a change records before and after on one host.
 //!
 //! Run with `cargo run --release -p snia-bench --bin bench_render`.
 
 use std::time::Instant;
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use snia_bench::{host_info, progress, HostInfo, Table};
 use snia_core::ExperimentConfig;
@@ -43,6 +46,11 @@ struct RenderBenchResult {
     crop: usize,
     generation: Vec<GenTiming>,
     epochs: Vec<EpochTiming>,
+    /// `epochs` of the `BENCH_render.json` this run replaced (null if none).
+    previous_epochs: Value,
+    /// Mean `cache::stamp_key` time per stamp: the whole cost of a memory
+    /// hit but the pixel copy, and part of every disk read.
+    stamp_key_us: f64,
     cache_hits: u64,
     cache_misses: u64,
     cache_bytes_written: u64,
@@ -60,6 +68,16 @@ fn epoch_ms(ds: &Dataset, refs: &[(usize, usize)]) -> (f64, f64) {
         checksum += f64::from(px[px.len() / 2]);
     }
     (t0.elapsed().as_secs_f64() * 1e3, checksum)
+}
+
+/// Mean microseconds of `cache::stamp_key` over the epoch's stamps.
+fn stamp_key_us(ds: &Dataset, refs: &[(usize, usize)]) -> f64 {
+    let t0 = Instant::now();
+    let keys = refs.iter().fold(0u64, |acc, &(si, oi)| {
+        acc ^ cache::stamp_key(&ds.samples[si], oi, CROP, true)
+    });
+    std::hint::black_box(keys);
+    t0.elapsed().as_secs_f64() * 1e6 / refs.len() as f64
 }
 
 fn main() {
@@ -125,6 +143,7 @@ fn main() {
     cache::clear_memory();
     let (warm_disk_ms, sum_disk) = epoch_ms(&ds, &refs);
     let after = cache::stats();
+    let key_us = stamp_key_us(&ds, &refs);
     cache::configure(None).expect("disable cache");
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -157,10 +176,15 @@ fn main() {
         refs.len()
     ));
     progress!(
-        "warm-memory epoch speedup {:.1}x, warm-disk {:.1}x",
+        "warm-memory epoch speedup {:.1}x, warm-disk {:.1}x; stamp_key {key_us:.1} µs/stamp",
         uncached_ms / warm_mem_ms,
         uncached_ms / warm_disk_ms
     );
+    let previous_epochs = std::fs::read_to_string("BENCH_render.json")
+        .ok()
+        .and_then(|text| serde_json::from_str::<Value>(&text).ok())
+        .and_then(|old| old.get("epochs").cloned())
+        .unwrap_or(Value::Null);
 
     let result = RenderBenchResult {
         host,
@@ -169,12 +193,15 @@ fn main() {
         crop: CROP,
         generation,
         epochs,
+        previous_epochs,
+        stamp_key_us: key_us,
         cache_hits: after.hits - before.hits,
         cache_misses: after.misses - before.misses,
         cache_bytes_written: after.bytes_written - before.bytes_written,
         note: "generation speedups are bounded by the physical core count; warm-epoch \
-               passes skip the PSF render entirely and are dominated by memcpy (memory) \
-               or read+CRC (disk)"
+               passes skip the PSF render entirely. A memory hit is almost all stamp_key \
+               (the spec's JSON serialisation; the pixel copy is ~1 us); a disk hit adds \
+               one bounded file read and the table-driven CRC over the stamp"
             .into(),
     };
     let json = serde_json::to_string_pretty(&result).expect("serialize");

@@ -11,18 +11,24 @@
 //! <dir>` flag or the `SNIA_RENDER_CACHE` environment variable):
 //!
 //! * an **in-memory stamp cache** (bounded by
-//!   `SNIA_RENDER_CACHE_MEM_MB`, default 256 MiB) that makes every epoch
-//!   after the first free;
+//!   `SNIA_RENDER_CACHE_MEM_MB`, default 256 MiB) that skips the render
+//!   and the disk read on later epochs. A hit still costs the
+//!   [`stamp_key`] hash (the spec's JSON serialisation: `stamp_key_us`
+//!   in `BENCH_render.json`, ~28 µs on a 2-vCPU AVX2 host) plus a ~1 µs
+//!   copy of the pixels, so it is cheap, not free;
 //! * an **on-disk content-addressed store**: one file per stamp named by
 //!   the FNV-1a hash of the *full serialized spec* plus the render
 //!   parameters (observation index, crop, log-stretch flag), CRC-framed
 //!   via [`crate::framing`] (`SNIA-STAMP v1`). Because the key covers the
 //!   complete generative description, two different specs can never
 //!   collide on intent — a stale directory from another seed simply never
-//!   hits.
+//!   hits. Once a dataset outgrows the memory budget this is the
+//!   steady-state input path: a warm read is the key hash, one bounded
+//!   file read and a table-driven CRC over the stamp.
 //!
-//! A corrupt entry (truncated file, flipped byte, wrong pixel count) is
-//! detected by the CRC frame, counted in `dataset.cache.corrupt`, and
+//! A corrupt entry (truncated or over-long file, flipped byte, wrong
+//! pixel count) is detected before or by the CRC frame, counted in
+//! `dataset.cache.corrupt`, and
 //! silently re-rendered and rewritten — corruption can cost time, never
 //! correctness.
 //!
@@ -32,7 +38,7 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -109,16 +115,21 @@ pub fn stats() -> CacheStats {
     }
 }
 
+/// The memory-layer budget: `SNIA_RENDER_CACHE_MEM_MB` MiB, or
+/// [`DEFAULT_MEM_CAP_BYTES`] when unset or unparsable.
+fn mem_cap_from_env() -> usize {
+    std::env::var("SNIA_RENDER_CACHE_MEM_MB")
+        .ok()
+        .and_then(|mb| mb.parse::<usize>().ok())
+        .map_or(DEFAULT_MEM_CAP_BYTES, |mb| mb.saturating_mul(1024 * 1024))
+}
+
 fn ensure_initialized(st: &mut CacheState) {
     if st.initialized {
         return;
     }
     st.initialized = true;
-    if let Ok(mb) = std::env::var("SNIA_RENDER_CACHE_MEM_MB") {
-        if let Ok(mb) = mb.parse::<usize>() {
-            st.memory_cap = mb.saturating_mul(1024 * 1024);
-        }
-    }
+    st.memory_cap = mem_cap_from_env();
     if let Ok(dir) = std::env::var("SNIA_RENDER_CACHE") {
         if !dir.is_empty() && fs::create_dir_all(&dir).is_ok() {
             st.dir = Some(PathBuf::from(dir));
@@ -128,7 +139,8 @@ fn ensure_initialized(st: &mut CacheState) {
 
 /// Enables the cache with an on-disk store at `dir` (created if missing),
 /// or disables it with `None`. Overrides any `SNIA_RENDER_CACHE`
-/// environment setting. The in-memory layer is cleared either way.
+/// environment setting. The in-memory layer is cleared either way and
+/// its budget re-read from `SNIA_RENDER_CACHE_MEM_MB`.
 ///
 /// # Errors
 ///
@@ -138,6 +150,7 @@ pub fn configure(dir: Option<&Path>) -> io::Result<()> {
     st.initialized = true;
     st.memory.clear();
     st.memory_bytes = 0;
+    st.memory_cap = mem_cap_from_env();
     match dir {
         Some(d) => {
             fs::create_dir_all(d)?;
@@ -255,23 +268,33 @@ fn write_entry(dir: &Path, key: u64, pixels: &[f32]) {
     }
 }
 
+/// Length of the frame [`write_entry`] writes for `pixels` floats. No
+/// entry this crate writes is longer, so anything longer is corrupt.
+fn max_entry_len(pixels: usize) -> usize {
+    let body = pixels * 4;
+    format!("{STAMP_MAGIC} v{STAMP_VERSION} crc32=00000000 len={body}\n").len() + body
+}
+
+/// Reads and validates one entry; `None` on a miss or a corrupt entry.
+/// At most [`max_entry_len`] + 1 bytes are read, so an over-long file
+/// costs neither its size in memory nor the time to read it.
 fn read_entry(dir: &Path, key: u64, expect: usize) -> Option<Vec<f32>> {
-    let bytes = fs::read(stamp_path(dir, key)).ok()?;
-    match decode_framed(STAMP_MAGIC, STAMP_VERSION, &bytes) {
-        Ok(body) => match bytes_to_pixels(body, expect) {
-            Some(px) => Some(px),
-            None => {
-                CORRUPT.fetch_add(1, Ordering::Relaxed);
-                snia_telemetry::counter_add("dataset.cache.corrupt", 1);
-                None
-            }
-        },
-        Err(_) => {
-            CORRUPT.fetch_add(1, Ordering::Relaxed);
-            snia_telemetry::counter_add("dataset.cache.corrupt", 1);
-            None
-        }
+    let file = fs::File::open(stamp_path(dir, key)).ok()?;
+    let max = max_entry_len(expect);
+    let mut bytes = Vec::with_capacity(max);
+    file.take(max as u64 + 1).read_to_end(&mut bytes).ok()?;
+    let px = if bytes.len() > max {
+        None
+    } else {
+        decode_framed(STAMP_MAGIC, STAMP_VERSION, &bytes)
+            .ok()
+            .and_then(|body| bytes_to_pixels(body, expect))
+    };
+    if px.is_none() {
+        CORRUPT.fetch_add(1, Ordering::Relaxed);
+        snia_telemetry::counter_add("dataset.cache.corrupt", 1);
     }
+    px
 }
 
 fn memory_insert(st: &mut CacheState, key: u64, pixels: &[f32]) {
@@ -354,18 +377,25 @@ mod tests {
 
     /// A scoped guard: configures the cache into a fresh temp dir and
     /// restores the disabled state on drop, so cache tests cannot leak
-    /// into the rest of the (process-shared) suite.
+    /// into the rest of the (process-shared) suite. It holds a lock for
+    /// its lifetime, so tests that configure the cache run one at a time.
     struct TempCache {
         dir: PathBuf,
+        _serial: std::sync::MutexGuard<'static, ()>,
     }
 
     impl TempCache {
         fn new(tag: &str) -> Self {
+            static SERIAL: Mutex<()> = Mutex::new(());
+            let serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
             let dir =
                 std::env::temp_dir().join(format!("snia-cache-test-{tag}-{}", std::process::id()));
             let _ = fs::remove_dir_all(&dir);
             configure(Some(&dir)).expect("create cache dir");
-            TempCache { dir }
+            TempCache {
+                dir,
+                _serial: serial,
+            }
         }
     }
 
@@ -425,6 +455,78 @@ mod tests {
         // The rewritten entry is valid again.
         clear_memory();
         assert_eq!(stamp_pixels(s, 0, 36, true), direct);
+    }
+
+    #[test]
+    fn configure_reads_the_memory_budget() {
+        let ds = tiny();
+        let s = &ds.samples[1];
+        std::env::set_var("SNIA_RENDER_CACHE_MEM_MB", "0");
+        let guard = TempCache::new("membudget");
+        std::env::remove_var("SNIA_RENDER_CACHE_MEM_MB");
+        let _ = stamp_pixels(s, 2, 36, true);
+        let before = stats();
+        let _ = stamp_pixels(s, 2, 36, true);
+        let after = stats();
+        assert_eq!(
+            after.disk_hits,
+            before.disk_hits + 1,
+            "a zero budget sends every fetch to disk"
+        );
+        drop(guard);
+        let _guard = TempCache::new("membudget-default");
+        let _ = stamp_pixels(s, 2, 36, true);
+        let before = stats();
+        let _ = stamp_pixels(s, 2, 36, true);
+        assert_eq!(
+            stats().disk_hits,
+            before.disk_hits,
+            "default budget: memory hit"
+        );
+    }
+
+    #[test]
+    fn over_long_entry_is_re_rendered_without_reading_it() {
+        let ds = tiny();
+        let s = &ds.samples[0];
+        let direct = render_stamp(s, 1, 36, true);
+        let guard = TempCache::new("overlong");
+        let _ = stamp_pixels(s, 1, 36, true);
+        let path = stamp_path(&guard.dir, stamp_key(s, 1, 36, true));
+        let written = fs::read(&path).expect("entry written");
+        assert_eq!(
+            written.len(),
+            max_entry_len(36 * 36),
+            "writer and bound agree"
+        );
+
+        // A frame that would decode (extra header whitespace) but is one
+        // byte longer than the writer ever produces, and a sparse 64 MiB
+        // file: both are corrupt and re-rendered.
+        let padded = encode_framed(
+            &format!("{STAMP_MAGIC} "),
+            STAMP_VERSION,
+            &pixels_to_bytes(&direct),
+        );
+        assert_eq!(padded.len(), written.len() + 1);
+        assert!(decode_framed(STAMP_MAGIC, STAMP_VERSION, &padded).is_ok());
+        let check = |name: &str| {
+            clear_memory();
+            let before = stats().corrupt;
+            assert_eq!(stamp_pixels(s, 1, 36, true), direct, "{name}: re-render");
+            assert_eq!(stats().corrupt, before + 1, "{name}: counted as corrupt");
+            assert_eq!(
+                fs::read(&path).expect("rewritten"),
+                written,
+                "{name}: rewritten"
+            );
+        };
+        fs::write(&path, &padded).expect("padded entry");
+        check("padded");
+        fs::File::create(&path)
+            .and_then(|f| f.set_len(64 << 20))
+            .expect("sparse entry");
+        check("sparse");
     }
 
     #[test]

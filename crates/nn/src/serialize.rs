@@ -52,6 +52,15 @@ pub enum LoadError {
         /// Shape found in the checkpoint.
         found: Vec<usize>,
     },
+    /// A tensor's data length differs from its parameter's element count.
+    LengthMismatch {
+        /// Position in the parameter list.
+        index: usize,
+        /// Elements in the network's parameter.
+        expected: usize,
+        /// Values in the checkpoint tensor.
+        found: usize,
+    },
 }
 
 impl std::fmt::Display for LoadError {
@@ -70,6 +79,14 @@ impl std::fmt::Display for LoadError {
             } => write!(
                 f,
                 "tensor {index} has shape {found:?} but the network expects {expected:?}"
+            ),
+            LoadError::LengthMismatch {
+                index,
+                expected,
+                found,
+            } => write!(
+                f,
+                "tensor {index} holds {found} values but its parameter has {expected}"
             ),
         }
     }
@@ -96,8 +113,9 @@ pub fn snapshot(net: &Sequential) -> Checkpoint {
 ///
 /// # Errors
 ///
-/// Returns [`LoadError::CountMismatch`] or [`LoadError::ShapeMismatch`] if
-/// the checkpoint does not fit the network.
+/// Returns [`LoadError::CountMismatch`], [`LoadError::ShapeMismatch`] or
+/// [`LoadError::LengthMismatch`] if the checkpoint does not fit the
+/// network. Nothing is replaced unless every tensor fits.
 pub fn restore(net: &mut Sequential, ckpt: &Checkpoint) -> Result<(), LoadError> {
     let mut params = net.params_mut();
     if params.len() != ckpt.tensors.len() {
@@ -112,6 +130,13 @@ pub fn restore(net: &mut Sequential, ckpt: &Checkpoint) -> Result<(), LoadError>
                 index: i,
                 expected: p.value.shape().to_vec(),
                 found: t.shape.clone(),
+            });
+        }
+        if t.data.len() != p.value.len() {
+            return Err(LoadError::LengthMismatch {
+                index: i,
+                expected: p.value.len(),
+                found: t.data.len(),
             });
         }
     }
@@ -227,6 +252,28 @@ mod tests {
         let before = snapshot(&other);
         let _ = restore(&mut other, &snapshot(&a)).unwrap_err();
         assert_eq!(snapshot(&other), before);
+    }
+
+    #[test]
+    fn restore_rejects_data_that_does_not_fill_the_shape() {
+        // A deserialised checkpoint can carry any data length; it must be
+        // an error, not a panic in `Tensor::from_vec`, and change nothing.
+        let a = net(1);
+        let mut b = net(2);
+        let before = snapshot(&b);
+        for delta in [-1isize, 1] {
+            let mut ckpt = snapshot(&a);
+            let n = ckpt.tensors[2].data.len();
+            let bad = n.checked_add_signed(delta).expect("non-empty tensor");
+            ckpt.tensors[2].data.resize(bad, 0.5);
+            let err = restore(&mut b, &ckpt).unwrap_err();
+            assert!(
+                matches!(err, LoadError::LengthMismatch { index: 2, expected, found }
+                    if expected == n && found == bad),
+                "{err}"
+            );
+            assert_eq!(snapshot(&b), before);
+        }
     }
 
     #[test]

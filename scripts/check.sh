@@ -80,4 +80,9 @@ cargo test -q --test conv_props
 echo "== wire property suite =="
 cargo test -q --test wire_props
 
+# And the table-driven CRC-32 against its bitwise oracle, plus the pin of
+# the render-cache stamp name and header.
+echo "== framing property suite =="
+cargo test -q --test framing_props
+
 echo "ALL CHECKS PASSED"

@@ -8,8 +8,8 @@ use snia_repro::core::classifier::LightCurveClassifier;
 use snia_repro::core::flux_cnn::{FluxCnn, PoolKind};
 use snia_repro::core::joint::JointModel;
 use snia_repro::core::resilience::{
-    restore_state, CheckpointDir, CheckpointError, FaultPlan, Guardian, Resilience, TrainState,
-    WatchdogConfig,
+    capture_state, restore_state, CheckpointDir, CheckpointError, FaultPlan, Guardian, ModelState,
+    Resilience, TrainState, WatchdogConfig,
 };
 use snia_repro::core::train::{
     classifier_scores, feature_matrix, flux_pair_refs, joint_examples, joint_scores,
@@ -17,9 +17,12 @@ use snia_repro::core::train::{
     ClassifierTrainConfig, FluxTrainConfig,
 };
 use snia_repro::core::Model;
+use snia_repro::dataset::framing::{decode_framed, encode_framed};
 use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
 use snia_repro::nn::optim::Adam;
-use snia_repro::nn::serialize::snapshot;
+use snia_repro::nn::serialize::{snapshot, LoadError};
+use snia_repro::serve::bundle::{BUNDLE_MAGIC, BUNDLE_VERSION, WEIGHTS_FILE};
+use snia_repro::serve::{BundleError, ModelBundle};
 
 fn small_dataset(seed: u64) -> Dataset {
     Dataset::generate(&DatasetConfig {
@@ -399,5 +402,83 @@ fn optimizer_moments_that_do_not_fit_the_model_are_a_typed_error() {
             other => panic!("{name}: expected CheckpointError::Moments, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// A CRC-valid frame whose first tensor holds 79 values for its `[8, 10]`
+/// shape: only the restore can catch it, and it must be a typed error.
+#[test]
+fn tensor_data_that_does_not_fill_its_shape_is_a_typed_error() {
+    let clf = || LightCurveClassifier::new(1, 8, &mut StdRng::seed_from_u64(17));
+    let is_length_mismatch = |e: &CheckpointError| {
+        matches!(
+            e,
+            CheckpointError::Model(LoadError::LengthMismatch {
+                index: 0,
+                expected: 80,
+                found: 79
+            })
+        )
+    };
+
+    // A bundle whose weights body is re-framed with a valid CRC.
+    let dir = scratch_dir("short-bundle");
+    ModelBundle::from_classifier(&clf())
+        .save(&dir)
+        .expect("save bundle");
+    let wpath = dir.join(WEIGHTS_FILE);
+    let bytes = std::fs::read(&wpath).expect("weights written");
+    let body = decode_framed(BUNDLE_MAGIC, BUNDLE_VERSION, &bytes).expect("valid frame");
+    let mut state: ModelState =
+        serde_json::from_str(std::str::from_utf8(body).expect("utf-8")).expect("state json");
+    assert_eq!(state.weights.tensors[0].shape, vec![8, 10]);
+    state.weights.tensors[0].data.pop();
+    let body = serde_json::to_string(&state).expect("serialize");
+    std::fs::write(
+        &wpath,
+        encode_framed(BUNDLE_MAGIC, BUNDLE_VERSION, body.as_bytes()),
+    )
+    .expect("rewrite weights");
+    let loaded = ModelBundle::load(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    match loaded.expect("the frame is valid").instantiate() {
+        Err(BundleError::Checkpoint(e)) if is_length_mismatch(&e) => {}
+        other => panic!("bundle: expected LengthMismatch, got {other:?}"),
+    }
+
+    // A checkpoint, decoded from a CRC-valid file image and from disk.
+    let mut short = capture_state(
+        &clf(),
+        &Adam::new(0.1),
+        &StdRng::seed_from_u64(0),
+        1,
+        0,
+        &[],
+    );
+    short.model.weights.tensors[0].data.pop();
+    let decoded = TrainState::from_bytes(&short.to_bytes().expect("encode")).expect("valid frame");
+    match restore_state(
+        &decoded,
+        &mut clf(),
+        &mut Adam::new(0.1),
+        &mut StdRng::seed_from_u64(0),
+        &mut Vec::new(),
+    ) {
+        Err(e) if is_length_mismatch(&e) => {}
+        other => panic!("restore_state: expected LengthMismatch, got {other:?}"),
+    }
+    let dir = scratch_dir("short-ckpt");
+    CheckpointDir::new(&dir).save(&short).expect("save");
+    let res = Resilience::with_dir(&dir);
+    let begun = Guardian::new(&res).begin(
+        &mut clf(),
+        &mut Adam::new(0.1),
+        &mut StdRng::seed_from_u64(0),
+        &mut Vec::new(),
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    match begun {
+        Err(e) if is_length_mismatch(&e) => {}
+        other => panic!("resume: expected LengthMismatch, got {other:?}"),
     }
 }
