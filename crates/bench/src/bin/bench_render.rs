@@ -7,8 +7,9 @@
 //! (disk) re-reads, plus the per-stamp cost of the cache key alone.
 //! Writes `BENCH_render.json` at the workspace root, with the host's core
 //! count, SIMD flags and GEMM micro-kernel. The `epochs` of the file it
-//! replaces are kept as `previous_epochs`, so running it at a parent
-//! commit and then at a change records before and after on one host.
+//! replaces are kept as `previous_epochs` (and its `stamp_key_us` as
+//! `previous_stamp_key_us`), so running it at a parent commit and then at
+//! a change records before and after on one host.
 //!
 //! Run with `cargo run --release -p snia-bench --bin bench_render`.
 
@@ -48,9 +49,10 @@ struct RenderBenchResult {
     epochs: Vec<EpochTiming>,
     /// `epochs` of the `BENCH_render.json` this run replaced (null if none).
     previous_epochs: Value,
-    /// Mean `cache::stamp_key` time per stamp: the whole cost of a memory
-    /// hit but the pixel copy, and part of every disk read.
+    /// Mean `cache::stamp_key` time per stamp, paid by every cached fetch.
     stamp_key_us: f64,
+    /// `stamp_key_us` of the `BENCH_render.json` this run replaced.
+    previous_stamp_key_us: Value,
     cache_hits: u64,
     cache_misses: u64,
     cache_bytes_written: u64,
@@ -180,10 +182,9 @@ fn main() {
         uncached_ms / warm_mem_ms,
         uncached_ms / warm_disk_ms
     );
-    let previous_epochs = std::fs::read_to_string("BENCH_render.json")
+    let previous = std::fs::read_to_string("BENCH_render.json")
         .ok()
         .and_then(|text| serde_json::from_str::<Value>(&text).ok())
-        .and_then(|old| old.get("epochs").cloned())
         .unwrap_or(Value::Null);
 
     let result = RenderBenchResult {
@@ -193,15 +194,17 @@ fn main() {
         crop: CROP,
         generation,
         epochs,
-        previous_epochs,
+        previous_epochs: previous["epochs"].clone(),
         stamp_key_us: key_us,
+        previous_stamp_key_us: previous["stamp_key_us"].clone(),
         cache_hits: after.hits - before.hits,
         cache_misses: after.misses - before.misses,
         cache_bytes_written: after.bytes_written - before.bytes_written,
         note: "generation speedups are bounded by the physical core count; warm-epoch \
-               passes skip the PSF render entirely. A memory hit is almost all stamp_key \
-               (the spec's JSON serialisation; the pixel copy is ~1 us); a disk hit adds \
-               one bounded file read and the table-driven CRC over the stamp"
+               passes skip the PSF render entirely. A memory hit is the stamp_key field \
+               hash plus a copy of the pixels, each about a microsecond, and the cache \
+               lock; a disk hit adds one bounded file read and the table-driven CRC over \
+               the stamp"
             .into(),
     };
     let json = serde_json::to_string_pretty(&result).expect("serialize");

@@ -12,12 +12,11 @@
 //!
 //! * an **in-memory stamp cache** (bounded by
 //!   `SNIA_RENDER_CACHE_MEM_MB`, default 256 MiB) that skips the render
-//!   and the disk read on later epochs. A hit still costs the
-//!   [`stamp_key`] hash (the spec's JSON serialisation: `stamp_key_us`
-//!   in `BENCH_render.json`, ~28 µs on a 2-vCPU AVX2 host) plus a ~1 µs
-//!   copy of the pixels, so it is cheap, not free;
+//!   and the disk read on later epochs. A hit costs the [`stamp_key`]
+//!   hash (~1.4 µs: `stamp_key_us` in `BENCH_render.json`, 2-vCPU AVX2
+//!   host) plus a ~1 µs copy of the pixels;
 //! * an **on-disk content-addressed store**: one file per stamp named by
-//!   the FNV-1a hash of the *full serialized spec* plus the render
+//!   [`stamp_key`], a field hash of the *full spec* plus the render
 //!   parameters (observation index, crop, log-stretch flag), CRC-framed
 //!   via [`crate::framing`] (`SNIA-STAMP v1`). Because the key covers the
 //!   complete generative description, two different specs can never
@@ -25,6 +24,12 @@
 //!   hits. Once a dataset outgrows the memory budget this is the
 //!   steady-state input path: a warm read is the key hash, one bounded
 //!   file read and a table-driven CRC over the stamp.
+//!
+//! The key's layout is tagged (`KEY_SCHEME`). Changing the layout or
+//! the tag renames every entry, so an older directory stops hitting: its
+//! stamps are rendered once more and written under the new names (the
+//! old files are never read again and can be deleted). The tag must be
+//! bumped whenever [`render_stamp`]'s output for a given spec changes.
 //!
 //! A corrupt entry (truncated or over-long file, flipped byte, wrong
 //! pixel count) is detected before or by the CRC frame, counted in
@@ -43,7 +48,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use snia_lightcurve::SnParams;
+use snia_skysim::catalog::Galaxy;
+use snia_skysim::ObservingConditions;
+
 use crate::framing::{decode_framed, encode_framed};
+use crate::schedule::ObservationSchedule;
 use crate::spec::SampleSpec;
 
 /// Magic string of the on-disk stamp envelope.
@@ -177,26 +187,148 @@ pub fn clear_memory() {
     st.memory_bytes = 0;
 }
 
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// Leading bytes of every stamp key, naming the key's field layout. Bump
+/// it when that layout changes or when [`render_stamp`]'s output for a
+/// given spec changes: either way every existing cache directory stops
+/// hitting and its stamps are rendered again under new names.
+const KEY_SCHEME: &[u8] = b"snia-stamp-key/2";
+
+/// FNV-1a, fed one field at a time in a fixed layout.
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn new() -> Self {
+        let mut h = KeyHasher(0xCBF2_9CE4_8422_2325);
+        h.bytes(KEY_SCHEME);
+        h
     }
-    h
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn usize(&mut self, v: usize) {
+        self.u64(v as u64);
+    }
+
+    /// The exact bits, so `-0.0` ≠ `0.0` and NaN ≠ ±∞.
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn conditions(&mut self, c: &ObservingConditions) {
+        let ObservingConditions {
+            seeing_fwhm_px,
+            transparency,
+            sky_sigma,
+        } = c;
+        self.f64(*seeing_fwhm_px);
+        self.f64(*transparency);
+        self.f64(*sky_sigma);
+    }
 }
 
 /// Content-addressed key of one preprocessed stamp: FNV-1a over the
-/// spec's full JSON serialization plus the render parameters. Hashing the
-/// complete generative description (not just the sample id) means caches
+/// `KEY_SCHEME` tag, then every field of the spec in declaration order
+/// (floats by their bits, enums by variant index, each `Vec` led by its
+/// length), then the render parameters. The layout is prefix-free, so two
+/// specs that differ in any field hash different byte strings, and caches
 /// from different seeds, crops or preprocessing settings can never serve
 /// each other's pixels.
+///
+/// Every struct is destructured without `..`: a field added to the spec
+/// does not compile until the key covers it.
 pub fn stamp_key(spec: &SampleSpec, obs_index: usize, crop: usize, log_stretch: bool) -> u64 {
-    let json = serde_json::to_string(spec).expect("sample spec serializes");
-    let mut h = fnv1a(0xCBF2_9CE4_8422_2325, json.as_bytes());
-    h = fnv1a(h, &(obs_index as u64).to_le_bytes());
-    h = fnv1a(h, &(crop as u64).to_le_bytes());
-    fnv1a(h, &[u8::from(log_stretch)])
+    let SampleSpec {
+        id,
+        galaxy,
+        sn,
+        schedule,
+        galaxy_cx,
+        galaxy_cy,
+        sn_dx,
+        sn_dy,
+        obs_conditions,
+        ref_conditions,
+        noise_seed,
+    } = spec;
+    let Galaxy {
+        id: galaxy_id,
+        ra_deg,
+        dec_deg,
+        photo_z,
+        r_eff_arcsec,
+        axis_ratio,
+        position_angle,
+        sersic_index,
+        mag_i,
+        color_slope,
+    } = galaxy;
+    let SnParams {
+        sn_type,
+        redshift,
+        stretch,
+        color,
+        peak_mjd,
+        mag_offset,
+    } = sn;
+    let ObservationSchedule {
+        reference_mjd,
+        observations,
+        season_start,
+        season_length,
+    } = schedule;
+
+    let mut h = KeyHasher::new();
+    h.u64(*id);
+    h.u64(*galaxy_id);
+    for v in [
+        ra_deg,
+        dec_deg,
+        photo_z,
+        r_eff_arcsec,
+        axis_ratio,
+        position_angle,
+        sersic_index,
+        mag_i,
+        color_slope,
+    ] {
+        h.f64(*v);
+    }
+    h.bytes(&[*sn_type as u8]);
+    for v in [redshift, stretch, color, peak_mjd, mag_offset] {
+        h.f64(*v);
+    }
+    h.f64(*reference_mjd);
+    h.usize(observations.len());
+    for &(band, mjd) in observations {
+        h.bytes(&[band as u8]);
+        h.f64(mjd);
+    }
+    h.f64(*season_start);
+    h.f64(*season_length);
+    for v in [galaxy_cx, galaxy_cy, sn_dx, sn_dy] {
+        h.f64(*v);
+    }
+    h.usize(obs_conditions.len());
+    for c in obs_conditions {
+        h.conditions(c);
+    }
+    for c in ref_conditions {
+        h.conditions(c);
+    }
+    h.u64(*noise_seed);
+    h.usize(obs_index);
+    h.usize(crop);
+    h.bytes(&[u8::from(log_stretch)]);
+    h.0
 }
 
 /// Renders and preprocesses one stamp directly (no cache): difference
@@ -415,6 +547,12 @@ mod tests {
         assert_ne!(stamp_key(a, 0, 36, true), stamp_key(a, 0, 44, true));
         assert_ne!(stamp_key(a, 0, 36, true), stamp_key(a, 0, 36, false));
         assert_eq!(stamp_key(a, 0, 36, true), stamp_key(a, 0, 36, true));
+        let mut c = a.clone();
+        c.noise_seed ^= 1;
+        assert_ne!(stamp_key(a, 0, 36, true), stamp_key(&c, 0, 36, true));
+        let mut c = a.clone();
+        c.obs_conditions[5].sky_sigma = f64::from_bits(c.obs_conditions[5].sky_sigma.to_bits() + 1);
+        assert_ne!(stamp_key(a, 0, 36, true), stamp_key(&c, 0, 36, true));
     }
 
     #[test]

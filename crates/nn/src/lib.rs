@@ -73,4 +73,4 @@ pub mod tensor;
 
 pub use layer::{Layer, Mode, Param, StateError};
 pub use net::Sequential;
-pub use tensor::Tensor;
+pub use tensor::{ShapeError, Tensor};

@@ -9,7 +9,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// A dense, contiguous, row-major `f32` n-dimensional array.
 ///
@@ -22,10 +22,63 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.at(&[1, 2]), 6.0);
 /// assert_eq!(t.sum(), 21.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Serialize, Default)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
+}
+
+/// A shape and a data vector that do not make a tensor.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShapeError {
+    /// The shape's element count overflows `usize`.
+    Overflow {
+        /// The offending shape.
+        shape: Vec<usize>,
+    },
+    /// The data length differs from the shape's element count.
+    LengthMismatch {
+        /// The shape.
+        shape: Vec<usize>,
+        /// Its element count.
+        expected: usize,
+        /// The data length.
+        found: usize,
+    },
+}
+
+impl fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShapeError::Overflow { shape } => {
+                write!(f, "shape {shape:?} has more elements than fit in usize")
+            }
+            ShapeError::LengthMismatch {
+                shape,
+                expected,
+                found,
+            } => write!(
+                f,
+                "shape {shape:?} (len {expected}) does not match data length {found}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ShapeError {}
+
+/// Decodes through [`Tensor::try_from_vec`], so a decoded tensor always
+/// holds exactly its shape's element count.
+impl Deserialize for Tensor {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        #[derive(Deserialize)]
+        struct Parts {
+            shape: Vec<usize>,
+            data: Vec<f32>,
+        }
+        let Parts { shape, data } = Parts::from_value(v)?;
+        Tensor::try_from_vec(shape, data).map_err(|e| serde::Error::custom(e.to_string()))
+    }
 }
 
 impl fmt::Debug for Tensor {
@@ -80,18 +133,32 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` does not equal the product of `shape`.
+    /// Panics if `data.len()` does not equal the product of `shape` (see
+    /// [`Tensor::try_from_vec`]).
     pub fn from_vec(shape: Vec<usize>, data: Vec<f32>) -> Self {
-        let n: usize = shape.iter().product();
-        assert_eq!(
-            n,
-            data.len(),
-            "shape {:?} (len {}) does not match data length {}",
-            shape,
-            n,
-            data.len()
-        );
-        Tensor { shape, data }
+        Self::try_from_vec(shape, data).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a tensor from a shape and a flat row-major data vector,
+    /// or says why they do not fit.
+    ///
+    /// # Errors
+    ///
+    /// [`ShapeError::Overflow`] when the shape's element count overflows
+    /// `usize`, [`ShapeError::LengthMismatch`] when `data.len()` differs
+    /// from it.
+    pub fn try_from_vec(shape: Vec<usize>, data: Vec<f32>) -> Result<Self, ShapeError> {
+        let Some(expected) = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d)) else {
+            return Err(ShapeError::Overflow { shape });
+        };
+        if expected != data.len() {
+            return Err(ShapeError::LengthMismatch {
+                shape,
+                expected,
+                found: data.len(),
+            });
+        }
+        Ok(Tensor { shape, data })
     }
 
     /// Creates a 1-D tensor from a slice.
@@ -527,6 +594,40 @@ impl AddAssign<&Tensor> for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn decoding_checks_the_shape_against_the_data() {
+        let t = Tensor::from_vec(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let decoded: Tensor = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
+        assert_eq!(decoded, t);
+
+        let short = r#"{"shape":[8,10],"data":[0.5]}"#;
+        let err = serde_json::from_str::<Tensor>(short).unwrap_err();
+        assert!(
+            err.to_string().contains("does not match data length 1"),
+            "{err}"
+        );
+        assert_eq!(
+            Tensor::try_from_vec(vec![8, 10], vec![0.5]),
+            Err(ShapeError::LengthMismatch {
+                shape: vec![8, 10],
+                expected: 80,
+                found: 1
+            })
+        );
+
+        // 2^32 · 2^32 wraps to 0 in u64: an unchecked product would accept
+        // an empty data vector for it.
+        let huge = format!(r#"{{"shape":[{0},{0}],"data":[]}}"#, 1u64 << 32);
+        let err = serde_json::from_str::<Tensor>(&huge).unwrap_err();
+        assert!(err.to_string().contains("more elements than fit"), "{err}");
+        assert_eq!(
+            Tensor::try_from_vec(vec![1 << 32, 1 << 32], Vec::new()),
+            Err(ShapeError::Overflow {
+                shape: vec![1 << 32, 1 << 32]
+            })
+        );
+    }
 
     #[test]
     fn zeros_ones_full() {

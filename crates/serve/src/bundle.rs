@@ -65,6 +65,57 @@ pub struct Manifest {
     pub crop: usize,
 }
 
+/// Largest `crop` a manifest may ask for: the stamp size
+/// (`snia_skysim::STAMP_SIZE`), since no cutout is larger.
+pub const MAX_CROP: usize = 65;
+/// Largest classifier `hidden` width a manifest may ask for, five times
+/// the widest the regenerators train (200). It bounds the allocation a
+/// manifest can demand before any weight is checked: the two highway
+/// layers hold `4 · hidden²` floats.
+pub const MAX_HIDDEN: usize = 1024;
+/// Largest `epochs` a manifest may ask for; the regenerators use 1–4.
+pub const MAX_EPOCHS: usize = 64;
+
+impl Manifest {
+    /// Checks the dimensions against what this build can serve, before
+    /// anything is allocated for them.
+    ///
+    /// # Errors
+    ///
+    /// [`BundleError::Version`] for another format version,
+    /// [`BundleError::Invalid`] for a zero or over-large dimension or a
+    /// joint bundle that is not single-epoch or too small to pool.
+    pub fn validate(&self) -> Result<(), BundleError> {
+        if self.version != BUNDLE_VERSION {
+            return Err(BundleError::Version {
+                found: self.version,
+            });
+        }
+        if self.hidden == 0 || self.epochs == 0 {
+            return Err(BundleError::Invalid(
+                "epochs and hidden width must be positive".into(),
+            ));
+        }
+        if self.hidden > MAX_HIDDEN || self.epochs > MAX_EPOCHS || self.crop > MAX_CROP {
+            return Err(BundleError::Invalid(format!(
+                "hidden {}, epochs {} or crop {} above the limits \
+                 {MAX_HIDDEN}, {MAX_EPOCHS}, {MAX_CROP}",
+                self.hidden, self.epochs, self.crop
+            )));
+        }
+        match self.kind {
+            ModelKind::Joint if self.epochs != 1 => Err(BundleError::Invalid(
+                "joint bundles are single-epoch (epochs must be 1)".into(),
+            )),
+            ModelKind::Joint if self.crop / 8 < 2 => Err(BundleError::Invalid(format!(
+                "crop {} too small for three pool stages",
+                self.crop
+            ))),
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Errors while exporting or loading a bundle.
 #[derive(Debug)]
 pub enum BundleError {
@@ -208,30 +259,7 @@ impl ModelBundle {
         let mpath = dir.join(MANIFEST_FILE);
         let mtext = fs::read_to_string(&mpath).map_err(|e| io_err(&mpath, e))?;
         let manifest: Manifest = serde_json::from_str(&mtext)?;
-        if manifest.version != BUNDLE_VERSION {
-            return Err(BundleError::Version {
-                found: manifest.version,
-            });
-        }
-        if manifest.hidden == 0 || manifest.epochs == 0 {
-            return Err(BundleError::Invalid(
-                "epochs and hidden width must be positive".into(),
-            ));
-        }
-        match manifest.kind {
-            ModelKind::Joint if manifest.epochs != 1 => {
-                return Err(BundleError::Invalid(
-                    "joint bundles are single-epoch (epochs must be 1)".into(),
-                ));
-            }
-            ModelKind::Joint if manifest.crop / 8 < 2 => {
-                return Err(BundleError::Invalid(format!(
-                    "crop {} too small for three pool stages",
-                    manifest.crop
-                )));
-            }
-            _ => {}
-        }
+        manifest.validate()?;
         let wpath = dir.join(WEIGHTS_FILE);
         let bytes = fs::read(&wpath).map_err(|e| io_err(&wpath, e))?;
         let body =
@@ -247,9 +275,11 @@ impl ModelBundle {
     ///
     /// # Errors
     ///
-    /// Returns [`BundleError::Checkpoint`] when the weights do not fit the
-    /// architecture.
+    /// Returns what [`Manifest::validate`] returns for a manifest this
+    /// build cannot serve, and [`BundleError::Checkpoint`] when the weights
+    /// do not fit the architecture.
     pub fn instantiate(&self) -> Result<ServedModel, BundleError> {
+        self.manifest.validate()?;
         // The RNG only seeds throwaway initial weights; `restore`
         // overwrites every parameter value and buffer.
         let mut rng = StdRng::seed_from_u64(0);
@@ -487,6 +517,78 @@ mod tests {
             bundle.instantiate().unwrap_err(),
             BundleError::Checkpoint(_)
         ));
+    }
+
+    #[test]
+    fn over_large_manifest_dims_are_invalid_before_allocating() {
+        let dir = temp_dir("huge-manifest");
+        ModelBundle::from_classifier(&tiny_classifier(19))
+            .save(&dir)
+            .unwrap();
+        let mpath = dir.join(MANIFEST_FILE);
+        let good: Manifest = serde_json::from_str(&fs::read_to_string(&mpath).unwrap()).unwrap();
+        let joint = Manifest {
+            kind: ModelKind::Joint,
+            epochs: 1,
+            crop: 36,
+            ..good
+        };
+        for (what, bad) in [
+            (
+                "hidden",
+                Manifest {
+                    hidden: 1 << 40,
+                    ..good
+                },
+            ),
+            (
+                "hidden",
+                Manifest {
+                    hidden: MAX_HIDDEN + 1,
+                    ..good
+                },
+            ),
+            (
+                "epochs",
+                Manifest {
+                    epochs: MAX_EPOCHS + 1,
+                    ..good
+                },
+            ),
+            (
+                "crop",
+                Manifest {
+                    crop: MAX_CROP + 1,
+                    ..joint
+                },
+            ),
+            (
+                "crop",
+                Manifest {
+                    crop: usize::MAX,
+                    ..good
+                },
+            ),
+        ] {
+            fs::write(&mpath, serde_json::to_string(&bad).unwrap()).unwrap();
+            let err = ModelBundle::load(&dir).unwrap_err();
+            assert!(matches!(err, BundleError::Invalid(_)), "{what}: {err}");
+            let bundle = ModelBundle {
+                manifest: bad,
+                state: tiny_classifier(19).capture(),
+            };
+            let err = bundle.instantiate().unwrap_err();
+            assert!(matches!(err, BundleError::Invalid(_)), "{what}: {err}");
+        }
+        assert!(joint.validate().is_ok());
+        assert!(Manifest {
+            hidden: MAX_HIDDEN,
+            epochs: MAX_EPOCHS,
+            ..good
+        }
+        .validate()
+        .is_ok());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

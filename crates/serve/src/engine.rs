@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -355,20 +355,37 @@ impl Engine {
     }
 
     /// Stops accepting work, lets the workers drain what is already
-    /// queued, and joins them.
-    pub fn shutdown(mut self) {
-        self.stop();
+    /// queued, and joins them. Returns how many workers had panicked.
+    pub fn shutdown(mut self) -> usize {
+        self.stop()
     }
 
-    fn stop(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().expect("serve queue poisoned");
-            q.shutdown = true;
-        }
+    /// Stops the workers and joins them, returning how many had panicked.
+    /// A panicked worker is counted in `serve.worker_panics_total` and
+    /// logged, never re-raised: this runs in `Drop`, where a panic during
+    /// unwinding would abort the process.
+    fn stop(&mut self) -> usize {
+        self.shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
         self.shared.nonempty.notify_all();
+        let mut panicked = 0;
         for handle in self.handles.drain(..) {
-            handle.join().expect("serve worker panicked");
+            let name = handle.thread().name().unwrap_or("serve worker").to_string();
+            if let Err(payload) = handle.join() {
+                panicked += 1;
+                counter_add("serve.worker_panics_total", 1);
+                let why = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string panic payload");
+                eprintln!("{name} panicked: {why}");
+            }
         }
+        panicked
     }
 }
 
@@ -722,6 +739,32 @@ mod tests {
             assert_eq!(got.score.to_bits(), expected.to_bits());
         }
         engine.shutdown();
+    }
+
+    /// An engine whose one worker has panicked: a joint model behind a
+    /// classifier's input spec, so a feature request passes `submit` and
+    /// panics the worker in `score_batch`.
+    fn engine_with_a_panicked_worker() -> Engine {
+        let joint = JointModel::from_scratch(16, 8, &mut StdRng::seed_from_u64(6));
+        let mut engine = Engine::without_workers(&tiny_model(6), EngineConfig::default());
+        engine.add_worker(ServedModel::Joint(joint));
+        let ticket = engine.submit(feature_request(1, 600)).unwrap();
+        assert!(matches!(ticket.wait(), Err(ServeError::ShuttingDown)));
+        engine
+    }
+
+    #[test]
+    fn a_panicked_worker_is_counted_not_re_raised() {
+        assert_eq!(engine_with_a_panicked_worker().shutdown(), 1);
+
+        // Dropped during unwinding: a panic in `Drop` here would abort
+        // the test process instead of returning the first panic.
+        let engine = engine_with_a_panicked_worker();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _engine = engine;
+            panic!("unwinding past an engine");
+        }));
+        assert!(unwound.is_err());
     }
 
     #[test]

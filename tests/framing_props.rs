@@ -1,20 +1,29 @@
 //! The table-driven CRC-32 behind every `SNIA-*` frame against the
-//! bitwise loop it replaced, and a pin of the on-disk stamp format.
+//! bitwise loop it replaced, the coverage of the render-cache key, and a
+//! pin of the on-disk stamp format.
 //!
 //! `framing::crc32` folds eight bytes per step through eight lookup
 //! tables. The oracle below is the original bit-at-a-time loop. They must
 //! agree on every input: at every length, every start offset within an
-//! eight-byte word, and so every remainder the tail loop handles. The
-//! stamp pin checks that a render-cache entry keeps its file name and
-//! header, so a cache directory written before the table CRC still hits.
+//! eight-byte word, and so every remainder the tail loop handles.
+//!
+//! `cache::stamp_key` hashes the spec field by field. The coverage
+//! property perturbs one leaf of a spec's serialised tree at a time and
+//! requires a new key, so a field the hash forgets fails here without the
+//! test listing the fields again. The stamp pin checks that a render-cache
+//! entry keeps its file name and header.
+
+use std::collections::HashSet;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::{Deserialize, Serialize, Value};
 
 use snia_repro::dataset::cache::{self, render_stamp, stamp_key, STAMP_MAGIC, STAMP_VERSION};
 use snia_repro::dataset::framing::{crc32, decode_framed, encode_framed};
-use snia_repro::dataset::{Dataset, DatasetConfig};
+use snia_repro::dataset::{Dataset, DatasetConfig, SampleSpec};
+use snia_repro::lightcurve::{Band, SnType};
 
 /// The bitwise CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`),
 /// kept as the oracle.
@@ -112,6 +121,150 @@ proptest! {
     }
 }
 
+fn one_spec(seed: u64) -> SampleSpec {
+    let ds = Dataset::generate(&DatasetConfig {
+        n_samples: 1,
+        catalog_size: 30,
+        seed,
+    });
+    ds.samples[0].clone()
+}
+
+/// Every node of `v` with its path (child indices), in pre-order.
+fn nodes<'a>(v: &'a Value, path: &mut Vec<usize>, out: &mut Vec<(Vec<usize>, &'a Value)>) {
+    out.push((path.clone(), v));
+    let children: Vec<&Value> = match v {
+        Value::Seq(items) => items.iter().collect(),
+        Value::Map(fields) => fields.iter().map(|(_, f)| f).collect(),
+        _ => Vec::new(),
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        path.push(i);
+        nodes(child, path, out);
+        path.pop();
+    }
+}
+
+fn node_mut<'a>(v: &'a mut Value, path: &[usize]) -> &'a mut Value {
+    path.iter().fold(v, |node, &i| match node {
+        Value::Seq(items) => &mut items[i],
+        Value::Map(fields) => &mut fields[i].1,
+        other => panic!("no child {i} in {other:?}"),
+    })
+}
+
+/// The one-step perturbations of a node: the next float up, an integer
+/// plus one, every other enum variant, a sequence one element shorter.
+fn perturb(node: &Value) -> Vec<Value> {
+    match node {
+        Value::F64(x) => vec![Value::F64(x.next_up())],
+        Value::U64(u) => vec![Value::U64(u.wrapping_add(1))],
+        Value::I64(i) => vec![Value::I64(i.wrapping_add(1))],
+        Value::Bool(b) => vec![Value::Bool(!b)],
+        Value::Str(_) => Band::ALL
+            .iter()
+            .map(Serialize::to_value)
+            .chain(SnType::ALL.iter().map(Serialize::to_value))
+            .filter(|c| c != node)
+            .collect(),
+        Value::Seq(items) if !items.is_empty() => {
+            vec![Value::Seq(items[..items.len() - 1].to_vec())]
+        }
+        Value::Seq(_) | Value::Map(_) => Vec::new(),
+        Value::Null => panic!("a generated spec has no null"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every leaf of the spec moved one step, and every `Vec` shortened by
+    /// one, gives a spec with a different key.
+    #[test]
+    fn stamp_key_covers_every_field_of_the_spec(
+        seed in any::<u64>(),
+        obs in 0usize..20,
+    ) {
+        let spec = one_spec(seed);
+        let key = stamp_key(&spec, obs, 60, true);
+        let tree = spec.to_value();
+        let mut all = Vec::new();
+        nodes(&tree, &mut Vec::new(), &mut all);
+        let (mut leaves, mut shortened) = (0, 0);
+        for (path, node) in all {
+            let mut decoded = 0;
+            for replacement in perturb(node) {
+                let mut changed = tree.clone();
+                *node_mut(&mut changed, &path) = replacement;
+                // A tuple or fixed-size array one element shorter, and a
+                // variant of the other enum, are not specs.
+                let Ok(other) = SampleSpec::from_value(&changed) else {
+                    continue;
+                };
+                prop_assert!(other != spec);
+                prop_assert!(
+                    stamp_key(&other, obs, 60, true) != key,
+                    "perturbing {:?} at {:?} kept the key",
+                    node,
+                    path
+                );
+                decoded += 1;
+            }
+            match node {
+                Value::Seq(_) | Value::Map(_) => shortened += decoded,
+                _ => {
+                    prop_assert!(decoded > 0, "leaf {:?} at {:?} not perturbed", node, path);
+                    leaves += 1;
+                }
+            }
+        }
+        // 6 spec + 10 galaxy + 6 sn + 3 schedule scalars, 20 × 2
+        // observation leaves, 25 × 3 condition leaves.
+        prop_assert_eq!(leaves, 140);
+        // `observations` and `obs_conditions`.
+        prop_assert_eq!(shortened, 2);
+    }
+}
+
+#[test]
+fn stamp_key_tells_nan_from_infinity() {
+    // JSON writes every non-finite float as `null`, so a key over the
+    // spec's JSON could not tell these apart.
+    let spec = one_spec(5);
+    let keys: HashSet<u64> = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+        .into_iter()
+        .map(|x| {
+            let mut s = spec.clone();
+            s.sn_dx = x;
+            stamp_key(&s, 0, 60, true)
+        })
+        .collect();
+    assert_eq!(keys.len(), 3, "non-finite offsets share a key");
+}
+
+#[test]
+fn stamp_keys_are_distinct_over_a_dataset() {
+    let ds = Dataset::generate(&DatasetConfig {
+        n_samples: 100,
+        catalog_size: 200,
+        seed: 18,
+    });
+    let mut keys = HashSet::new();
+    let mut n = 0;
+    for spec in &ds.samples {
+        for obs in 0..spec.schedule.observations.len() {
+            for crop in [36, 60] {
+                for stretch in [false, true] {
+                    keys.insert(stamp_key(spec, obs, crop, stretch));
+                    n += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(n, 8000);
+    assert_eq!(keys.len(), n, "stamp keys collide");
+}
+
 #[test]
 fn stamp_entries_keep_their_name_and_header() {
     let ds = Dataset::generate(&DatasetConfig {
@@ -132,9 +285,11 @@ fn stamp_entries_keep_their_name_and_header() {
     let _ = std::fs::remove_dir_all(&dir);
     let bytes = bytes.expect("entry named {stamp_key:016x}.stamp");
 
-    // The key (and so the file name) of this spec is part of the format:
-    // a different value would orphan every existing cache directory.
-    assert_eq!(key, 0x847b_9cb0_f774_df1d, "stamp key changed");
+    // The key (and so the file name) of this spec is part of the format.
+    // It is pinned under the `snia-stamp-key/2` scheme tag: a change to
+    // the key's layout must bump the tag and this pin together, since a
+    // new value orphans every existing cache directory.
+    assert_eq!(key, 0xe9f3_f845_3fbc_bc47, "stamp key changed");
     assert_eq!(px, render_stamp(spec, 1, crop, true));
     let body: Vec<u8> = px.iter().flat_map(|p| p.to_le_bytes()).collect();
     assert_eq!(body.len(), crop * crop * 4);

@@ -21,7 +21,7 @@ use snia_repro::dataset::framing::{decode_framed, encode_framed};
 use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
 use snia_repro::nn::optim::Adam;
 use snia_repro::nn::serialize::{snapshot, LoadError};
-use snia_repro::serve::bundle::{BUNDLE_MAGIC, BUNDLE_VERSION, WEIGHTS_FILE};
+use snia_repro::serve::bundle::{BUNDLE_MAGIC, BUNDLE_VERSION, MAX_CROP, WEIGHTS_FILE};
 use snia_repro::serve::{BundleError, ModelBundle};
 
 fn small_dataset(seed: u64) -> Dataset {
@@ -407,6 +407,13 @@ fn optimizer_moments_that_do_not_fit_the_model_are_a_typed_error() {
 
 /// A CRC-valid frame whose first tensor holds 79 values for its `[8, 10]`
 /// shape: only the restore can catch it, and it must be a typed error.
+#[test]
+fn manifest_crop_bound_is_the_stamp_size() {
+    // The serve crate does not depend on the simulator, so its bound is
+    // a copy; no cutout is larger than a stamp.
+    assert_eq!(MAX_CROP, snia_repro::skysim::STAMP_SIZE);
+}
+
 #[test]
 fn tensor_data_that_does_not_fill_its_shape_is_a_typed_error() {
     let clf = || LightCurveClassifier::new(1, 8, &mut StdRng::seed_from_u64(17));
