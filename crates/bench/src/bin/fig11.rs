@@ -17,7 +17,7 @@ use snia_core::flux_cnn::{FluxCnn, PoolKind};
 use snia_core::joint::JointModel;
 use snia_core::train::{
     feature_matrix, flux_pair_refs, joint_scores, train_classifier, train_flux_cnn, train_joint,
-    ClassifierTrainConfig, FluxTrainConfig, JointExample,
+    ClassifierTrainConfig, JointExample,
 };
 use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset, EPOCHS_PER_BAND};
@@ -65,13 +65,10 @@ fn main() {
     let mut cnn = FluxCnn::new(crop, PoolKind::Max, &mut rng);
     let train_refs = flux_pair_refs(&ds, &tr, 2, cfg.seed + 300);
     let val_refs = flux_pair_refs(&ds, &va, 2, cfg.seed + 301);
-    let fcfg = FluxTrainConfig {
-        crop,
+    let fcfg = ClassifierTrainConfig {
         epochs: cfg.scaled(2),
         batch_size: 16,
         lr: 1e-3,
-        pairs_per_sample: 2,
-        augment: true,
         seed: cfg.seed + 2,
         threads: cfg.threads,
     };

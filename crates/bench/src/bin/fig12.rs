@@ -15,7 +15,7 @@ use snia_core::joint::JointModel;
 use snia_core::resilience::Resilience;
 use snia_core::train::{
     feature_matrix, flux_pair_refs, train_classifier_resilient, train_flux_cnn_resilient,
-    train_joint_resilient, ClassifierTrainConfig, FluxTrainConfig, JointExample, TrainRecord,
+    train_joint_resilient, ClassifierTrainConfig, JointExample, TrainRecord,
 };
 use snia_core::{resume_from_env_args, ExperimentConfig};
 use snia_dataset::{split_indices, Dataset, EPOCHS_PER_BAND};
@@ -71,13 +71,10 @@ fn main() {
         &ds,
         &train_refs,
         &val_refs,
-        &FluxTrainConfig {
-            crop,
+        &ClassifierTrainConfig {
             epochs: cfg.scaled(2),
             batch_size: 16,
             lr: 1e-3,
-            pairs_per_sample: 2,
-            augment: true,
             seed: cfg.seed + 5,
             threads: cfg.threads,
         },

@@ -11,7 +11,7 @@ use serde::Serialize;
 
 use snia_bench::{progress, write_json, Table};
 use snia_core::flux_cnn::{FluxCnn, PoolKind};
-use snia_core::train::{flux_pair_refs, flux_predictions, train_flux_cnn, FluxTrainConfig};
+use snia_core::train::{flux_pair_refs, flux_predictions, train_flux_cnn, ClassifierTrainConfig};
 use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset};
 
@@ -48,13 +48,10 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut cnn = FluxCnn::new(crop, PoolKind::Max, &mut rng);
-    let tcfg = FluxTrainConfig {
-        crop,
+    let tcfg = ClassifierTrainConfig {
         epochs: cfg.scaled(4),
         batch_size: 16,
         lr: 2e-3,
-        pairs_per_sample: 3,
-        augment: true,
         seed: cfg.seed + 1,
         threads: cfg.threads,
     };
@@ -68,7 +65,7 @@ fn main() {
         );
     }
 
-    let preds = flux_predictions(&mut cnn, &ds, &test_refs, crop, 32);
+    let preds = flux_predictions(&mut cnn, &ds, &test_refs, 32);
     // Only detectable points are meaningful for the scatter (the clamp at
     // mag 30 swamps the statistics otherwise) — the paper's Figure 8 also
     // spans only ~21-28 mag.

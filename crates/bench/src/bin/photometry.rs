@@ -18,7 +18,7 @@ use serde::Serialize;
 
 use snia_bench::{progress, write_json, Table};
 use snia_core::flux_cnn::{FluxCnn, PoolKind};
-use snia_core::train::{flux_pair_refs, flux_predictions, train_flux_cnn, FluxTrainConfig};
+use snia_core::train::{flux_pair_refs, flux_predictions, train_flux_cnn, ClassifierTrainConfig};
 use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset};
 use snia_lightcurve::flux_to_mag;
@@ -97,18 +97,15 @@ fn main() {
         &ds,
         &train_refs,
         &val_refs,
-        &FluxTrainConfig {
-            crop,
+        &ClassifierTrainConfig {
             epochs: cfg.scaled(3),
             batch_size: 16,
             lr: 1e-3,
-            pairs_per_sample: 3,
-            augment: true,
             seed: cfg.seed + 604,
             threads: cfg.threads,
         },
     );
-    let cnn_pairs: Vec<(f64, f64)> = flux_predictions(&mut cnn, &ds, &test_refs, crop, 32)
+    let cnn_pairs: Vec<(f64, f64)> = flux_predictions(&mut cnn, &ds, &test_refs, 32)
         .into_iter()
         .filter(|(t, _)| *t < 28.0)
         .collect();

@@ -11,7 +11,7 @@ use serde::Serialize;
 
 use snia_bench::{progress, write_json, Table};
 use snia_core::flux_cnn::{FluxCnn, PoolKind};
-use snia_core::train::{flux_loss, flux_pair_refs, train_flux_cnn, FluxTrainConfig};
+use snia_core::train::{flux_loss, flux_pair_refs, train_flux_cnn, ClassifierTrainConfig};
 use snia_core::ExperimentConfig;
 use snia_dataset::{split_indices, Dataset};
 
@@ -68,13 +68,10 @@ fn main() {
         for &seed in &seeds {
             let mut rng = StdRng::seed_from_u64(cfg.seed ^ (seed * 7919 + crop as u64));
             let mut cnn = FluxCnn::new(crop, PoolKind::Max, &mut rng);
-            let tcfg = FluxTrainConfig {
-                crop,
+            let tcfg = ClassifierTrainConfig {
                 epochs: cfg.scaled(3),
                 batch_size: 16,
                 lr: 2e-3,
-                pairs_per_sample,
-                augment: true,
                 seed: cfg.seed + seed,
                 threads: cfg.threads,
             };
@@ -82,10 +79,10 @@ fn main() {
             let last = hist.last().expect("non-empty history");
             // Evaluate the *final* train loss in eval mode for a fair
             // comparison with val/test.
-            let train_eval = flux_loss(&mut cnn, &ds, &train_refs, crop, 32);
+            let train_eval = flux_loss(&mut cnn, &ds, &train_refs, 32);
             train_losses.push(train_eval * TO_MAG2 * 1e3);
             val_losses.push(last.val_loss * TO_MAG2 * 1e3);
-            test_loss = flux_loss(&mut cnn, &ds, &test_refs, crop, 32) * TO_MAG2 * 1e3;
+            test_loss = flux_loss(&mut cnn, &ds, &test_refs, 32) * TO_MAG2 * 1e3;
         }
         let (tm, ts) = mean_std(&train_losses);
         let (vm, vs) = mean_std(&val_losses);

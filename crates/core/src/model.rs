@@ -63,13 +63,15 @@ pub trait Model: Send + Sized {
         }
     }
 
-    /// Restores a state captured by [`Model::capture`].
+    /// Restores a state captured by [`Model::capture`]. Every network's
+    /// share is checked before anything is replaced, so a state that does
+    /// not fit leaves the whole model as it was.
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Model`] when the tensor count or a shape
-    /// differs, and [`CheckpointError::State`] when the layer count or a
-    /// buffer length differs.
+    /// Returns [`CheckpointError::Model`] when the tensor count, a shape or
+    /// a data length differs, and [`CheckpointError::State`] when the
+    /// layer count or a buffer length differs.
     fn restore(&mut self, state: &ModelState) -> Result<(), CheckpointError> {
         let mut nets = self.networks_mut();
         // Check the totals first, then split by each network's counts.
@@ -87,20 +89,23 @@ pub trait Model: Send + Sized {
                 found: state.extra.len(),
             }));
         }
-        let mut tensors = state.weights.tensors.as_slice();
-        for net in &mut nets {
-            let (head, rest) = tensors.split_at(net.params().len());
+        let (mut tensors, mut extra) = (state.weights.tensors.as_slice(), state.extra.as_slice());
+        let mut parts = Vec::with_capacity(nets.len());
+        for net in &nets {
+            let (net_tensors, rest) = tensors.split_at(net.params().len());
+            tensors = rest;
+            let (net_extra, rest) = extra.split_at(net.len());
+            extra = rest;
+            serialize::check(net, net_tensors)?;
+            net.check_extra_states(net_extra)?;
+            parts.push((net_tensors, net_extra));
+        }
+        for (net, (net_tensors, net_extra)) in nets.iter_mut().zip(parts) {
             let weights = Checkpoint {
-                tensors: head.to_vec(),
+                tensors: net_tensors.to_vec(),
             };
             serialize::restore(net, &weights)?;
-            tensors = rest;
-        }
-        let mut extra = state.extra.as_slice();
-        for net in &mut nets {
-            let (head, rest) = extra.split_at(net.len());
-            net.load_extra_states(head)?;
-            extra = rest;
+            net.load_extra_states(net_extra)?;
         }
         Ok(())
     }

@@ -13,11 +13,12 @@
 //!   temp-file + fsync + rename write, and a rolling `latest`/`prev` pair
 //!   so a crash mid-write never loses the run.
 //! * **Divergence watchdog.** [`Watchdog`] screens every mini-batch loss
-//!   (and optionally gradient norms) for NaN/Inf and explosions relative
-//!   to a running average. On divergence the [`Guardian`] rolls the run
-//!   back to the last good state, halves the learning rate and retries a
-//!   bounded number of times, emitting `resilience.*` telemetry instead
-//!   of crashing.
+//!   and gradient norm for NaN/Inf and explosions, absolute and relative
+//!   to a running average, against fixed thresholds. On divergence the
+//!   [`Guardian`] rolls the run back to the last good state, halves the
+//!   learning rate and retries up to three times, emitting
+//!   `resilience.*` telemetry instead of crashing. The watchdog runs
+//!   whenever a run checkpoints or injects faults.
 //! * **Fault injection.** [`FaultPlan`] parses specs such as
 //!   `SNIA_FAULT=nan_loss@step=40,panic_worker@epoch=2,kill@epoch=3` so
 //!   integration tests (and the CI smoke job) can kill, corrupt and panic
@@ -368,32 +369,16 @@ impl CheckpointDir {
 // Watchdog
 // ---------------------------------------------------------------------------
 
-/// Thresholds and retry policy for the divergence watchdog.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WatchdogConfig {
-    /// Any |loss| above this is an explosion regardless of history.
-    pub max_loss: f64,
-    /// A loss this many times the running average is an explosion.
-    pub explosion_factor: f64,
-    /// Any gradient norm above this is an explosion.
-    pub max_grad_norm: f64,
-    /// Rollbacks allowed before the run gives up.
-    pub max_retries: u32,
-    /// Learning-rate multiplier applied on every rollback.
-    pub lr_factor: f32,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            max_loss: 1e6,
-            explosion_factor: 1e3,
-            max_grad_norm: 1e6,
-            max_retries: 3,
-            lr_factor: 0.5,
-        }
-    }
-}
+/// Any |loss| above this is an explosion regardless of history.
+const MAX_LOSS: f64 = 1e6;
+/// A loss this many times the running average is an explosion.
+const EXPLOSION_FACTOR: f64 = 1e3;
+/// Any gradient norm above this is an explosion.
+const MAX_GRAD_NORM: f64 = 1e6;
+/// Rollbacks allowed before the run gives up.
+const MAX_RETRIES: u32 = 3;
+/// Learning-rate multiplier applied on every rollback.
+const LR_FACTOR: f32 = 0.5;
 
 /// Why the watchdog tripped.
 #[derive(Debug, Clone, PartialEq)]
@@ -449,16 +434,15 @@ impl std::fmt::Display for Divergence {
 }
 
 /// Screens per-step losses and gradient norms for divergence.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Watchdog {
-    cfg: WatchdogConfig,
     ema: Option<f64>,
 }
 
 impl Watchdog {
-    /// Creates a watchdog with the given thresholds.
-    pub fn new(cfg: WatchdogConfig) -> Self {
-        Watchdog { cfg, ema: None }
+    /// Creates a watchdog with no loss history.
+    pub fn new() -> Self {
+        Watchdog::default()
     }
 
     /// Checks one mini-batch loss and folds it into the running average.
@@ -470,15 +454,15 @@ impl Watchdog {
         if !loss.is_finite() {
             return Err(Divergence::NonFiniteLoss { step });
         }
-        if loss.abs() > self.cfg.max_loss {
+        if loss.abs() > MAX_LOSS {
             return Err(Divergence::LossExploded {
                 step,
                 loss,
-                baseline: self.cfg.max_loss,
+                baseline: MAX_LOSS,
             });
         }
         if let Some(ema) = self.ema {
-            if ema > 1e-12 && loss > ema * self.cfg.explosion_factor {
+            if ema > 1e-12 && loss > ema * EXPLOSION_FACTOR {
                 return Err(Divergence::LossExploded {
                     step,
                     loss,
@@ -501,7 +485,7 @@ impl Watchdog {
     pub fn check_grad_norm(&self, step: u64, norm: f64) -> Result<(), Divergence> {
         if !norm.is_finite() {
             Err(Divergence::NonFiniteGradient { step })
-        } else if norm > self.cfg.max_grad_norm {
+        } else if norm > MAX_GRAD_NORM {
             Err(Divergence::GradientExploded { step, norm })
         } else {
             Ok(())
@@ -632,40 +616,33 @@ impl FaultPlan {
 // Resilience policy
 // ---------------------------------------------------------------------------
 
-/// The resilience policy a training loop runs under.
+/// The resilience policy a training loop runs under: a checkpoint
+/// directory and a fault plan. The divergence watchdog is on exactly when
+/// there is a directory or a fault to inject.
 #[derive(Debug)]
 pub struct Resilience {
     /// Where to persist and resume checkpoints (`None` = no persistence).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Divergence thresholds (`None` = watchdog off).
-    pub watchdog: Option<WatchdogConfig>,
     /// Faults to inject (empty in production).
     pub faults: FaultPlan,
 }
 
 impl Resilience {
-    /// No checkpointing, no watchdog, no faults — the legacy fast path.
+    /// No checkpointing, no watchdog, no faults — the plain fast path.
     pub fn disabled() -> Self {
-        Resilience {
-            checkpoint_dir: None,
-            watchdog: None,
-            faults: FaultPlan::none(),
-        }
+        Resilience::new(None, FaultPlan::none())
     }
 
-    /// Checkpointing into `dir` with the default watchdog.
+    /// Checkpointing into `dir`, with the watchdog.
     pub fn with_dir(dir: impl Into<PathBuf>) -> Self {
         Resilience::new(Some(dir.into()), FaultPlan::none())
     }
 
     /// Checkpointing into `checkpoint_dir` (none when `None`) under the
-    /// fault plan `faults`. The default watchdog is on whenever there is a
-    /// directory or a fault to inject.
+    /// fault plan `faults`.
     pub fn new(checkpoint_dir: Option<PathBuf>, faults: FaultPlan) -> Self {
-        let active = checkpoint_dir.is_some() || !faults.is_empty();
         Resilience {
             checkpoint_dir,
-            watchdog: active.then(WatchdogConfig::default),
             faults,
         }
     }
@@ -787,7 +764,7 @@ impl<'a> Guardian<'a> {
         Guardian {
             res,
             dir: res.checkpoint_dir.as_ref().map(CheckpointDir::new),
-            watchdog: res.watchdog.clone().map(Watchdog::new),
+            watchdog: (res.checkpoint_dir.is_some() || !res.faults.is_empty()).then(Watchdog::new),
             last_good: None,
             retries: 0,
         }
@@ -878,19 +855,17 @@ impl<'a> Guardian<'a> {
         rng: &mut StdRng,
         history: &mut Vec<TrainRecord>,
     ) -> Result<Option<ResumePoint>, CheckpointError> {
-        let max_retries = self.res.watchdog.as_ref().map_or(0, |w| w.max_retries);
         self.retries += 1;
-        if self.retries > max_retries {
+        if self.retries > MAX_RETRIES {
             return Ok(None);
         }
-        let lr_factor = self.res.watchdog.as_ref().map_or(0.5, |w| w.lr_factor);
         let Some(state) = self.last_good.as_mut() else {
             return Ok(None);
         };
         // The reduced rate is written back into the rollback state so
         // repeated rollbacks keep shrinking it, and persisted so a crash
         // right after the rollback resumes at the reduced rate too.
-        state.optim.lr *= lr_factor;
+        state.optim.lr *= LR_FACTOR;
         let state = state.clone();
         restore_state(&state, model, opt, rng, history)?;
         if let Some(wd) = &mut self.watchdog {
@@ -1073,7 +1048,7 @@ mod tests {
 
     #[test]
     fn watchdog_detects_divergence() {
-        let mut wd = Watchdog::new(WatchdogConfig::default());
+        let mut wd = Watchdog::new();
         for step in 0..10 {
             wd.check_loss(step, 1.0).unwrap();
         }
@@ -1103,7 +1078,7 @@ mod tests {
 
     #[test]
     fn watchdog_absolute_threshold_applies_before_warmup() {
-        let mut wd = Watchdog::new(WatchdogConfig::default());
+        let mut wd = Watchdog::new();
         assert!(matches!(
             wd.check_loss(0, 1e7),
             Err(Divergence::LossExploded { .. })
@@ -1114,7 +1089,6 @@ mod tests {
     fn resilience_disabled_is_inert() {
         let res = Resilience::disabled();
         assert!(res.checkpoint_dir.is_none());
-        assert!(res.watchdog.is_none());
         assert!(res.faults.is_empty());
         let g = Guardian::new(&res);
         assert!(!g.watchdog_active());

@@ -1,7 +1,8 @@
 //! Training for the three models.
 //!
-//! One loop (`fit`) trains every model; a small per-model task supplies
-//! the examples, loss and end-of-epoch evaluation. Training is
+//! One loop (`fit`) trains every model on one schedule,
+//! [`ClassifierTrainConfig`]; a small per-model task supplies the
+//! examples, loss and end-of-epoch evaluation. Training is
 //! deterministic given the seed, stream-renders batches from
 //! [`SampleSpec`]s (images are never cached across epochs, so memory stays
 //! flat even at paper scale) and records per-epoch train/val curves for
@@ -295,47 +296,6 @@ fn record_epoch_rate(samples: usize, batches: usize, epoch_start: std::time::Ins
 // Flux CNN
 // ---------------------------------------------------------------------------
 
-/// Hyper-parameters for flux-CNN training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FluxTrainConfig {
-    /// Input crop size.
-    pub crop: usize,
-    /// Number of passes over the training pairs.
-    pub epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Observation pairs used per sample (≤ 20); lower values shrink the
-    /// epoch for quick runs.
-    pub pairs_per_sample: usize,
-    /// Random D4 (flip/rotate) augmentation of the training images. The
-    /// magnitude target is invariant under these symmetries, so this
-    /// multiplies the effective training set by up to 8 at no rendering
-    /// cost.
-    pub augment: bool,
-    /// Shuffling/ordering seed.
-    pub seed: u64,
-    /// Data-parallel worker threads per minibatch (1 = sequential; see
-    /// [`crate::parallel::BatchExecutor`]).
-    pub threads: usize,
-}
-
-impl Default for FluxTrainConfig {
-    fn default() -> Self {
-        FluxTrainConfig {
-            crop: 60,
-            epochs: 2,
-            batch_size: 16,
-            lr: 1e-3,
-            pairs_per_sample: 4,
-            augment: true,
-            seed: 7,
-            threads: 1,
-        }
-    }
-}
-
 /// `(sample index, observation index)` references into a dataset — the
 /// unit of the flux-regression task.
 ///
@@ -408,7 +368,7 @@ pub fn train_flux_cnn(
     ds: &Dataset,
     train_refs: &[(usize, usize)],
     val_refs: &[(usize, usize)],
-    cfg: &FluxTrainConfig,
+    cfg: &ClassifierTrainConfig,
 ) -> Vec<TrainRecord> {
     train_flux_cnn_resilient(cnn, ds, train_refs, val_refs, cfg, &Resilience::disabled())
         .unwrap_or_else(|e| panic!("{e}"))
@@ -429,31 +389,29 @@ pub fn train_flux_cnn_resilient(
     ds: &Dataset,
     train_refs: &[(usize, usize)],
     val_refs: &[(usize, usize)],
-    cfg: &FluxTrainConfig,
+    cfg: &ClassifierTrainConfig,
     res: &Resilience,
 ) -> Result<Vec<TrainRecord>, TrainError> {
     let task = FluxTask {
         ds,
         train: train_refs,
         val: val_refs,
-        cfg,
-    };
-    let schedule = ClassifierTrainConfig {
-        epochs: cfg.epochs,
+        crop: cnn.crop(),
         batch_size: cfg.batch_size,
-        lr: cfg.lr,
-        seed: cfg.seed,
-        threads: cfg.threads,
     };
-    fit(&task, cnn, &schedule, res)
+    fit(&task, cnn, cfg, res)
 }
 
-/// Magnitude regression on rendered stamps, with optional D4 augmentation.
+/// Magnitude regression on rendered stamps with random D4 (flip/rotate)
+/// augmentation: the magnitude target is invariant under these
+/// symmetries, so each training image counts up to eight times at no
+/// rendering cost.
 struct FluxTask<'a> {
     ds: &'a Dataset,
     train: &'a [(usize, usize)],
     val: &'a [(usize, usize)],
-    cfg: &'a FluxTrainConfig,
+    crop: usize,
+    batch_size: usize,
 }
 
 impl Task for FluxTask<'_> {
@@ -466,11 +424,7 @@ impl Task for FluxTask<'_> {
     }
 
     fn draw(&self, rng: &mut StdRng) -> u8 {
-        if self.cfg.augment {
-            rng.gen_range(0..8)
-        } else {
-            0
-        }
+        rng.gen_range(0..8)
     }
 
     fn shard(
@@ -481,12 +435,10 @@ impl Task for FluxTask<'_> {
         scale: f32,
     ) -> ShardStats {
         let refs: Vec<(usize, usize)> = examples.iter().map(|&i| self.train[i]).collect();
-        let crop = self.cfg.crop;
+        let crop = self.crop;
         let (mut x, t) = render_flux_batch(self.ds, &refs, crop);
-        if self.cfg.augment {
-            for (image, &code) in x.data_mut().chunks_mut(crop * crop).zip(draws) {
-                crate::input::d4_transform(image, crop, code);
-            }
+        for (image, &code) in x.data_mut().chunks_mut(crop * crop).zip(draws) {
+            crate::input::d4_transform(image, crop, code);
         }
         let y = timed_forward(|| model.forward(&x, Mode::Train));
         let (loss, grad) = mse_loss(&y, &t);
@@ -495,7 +447,7 @@ impl Task for FluxTask<'_> {
     }
 
     fn evaluate(&self, model: &mut FluxCnn, _: f64) -> (f64, f64, f64) {
-        let val_loss = flux_loss(model, self.ds, self.val, self.cfg.crop, self.cfg.batch_size);
+        let val_loss = flux_loss(model, self.ds, self.val, self.batch_size);
         (val_loss, f64::NAN, f64::NAN)
     }
 }
@@ -505,9 +457,9 @@ pub fn flux_loss(
     cnn: &mut FluxCnn,
     ds: &Dataset,
     refs: &[(usize, usize)],
-    crop: usize,
     batch_size: usize,
 ) -> f64 {
+    let crop = cnn.crop();
     let mut loss_sum = 0.0f64;
     let mut n = 0usize;
     for chunk in refs.chunks(batch_size) {
@@ -526,9 +478,9 @@ pub fn flux_predictions(
     cnn: &mut FluxCnn,
     ds: &Dataset,
     refs: &[(usize, usize)],
-    crop: usize,
     batch_size: usize,
 ) -> Vec<(f64, f64)> {
+    let crop = cnn.crop();
     let mut out = Vec::with_capacity(refs.len());
     for chunk in refs.chunks(batch_size) {
         let (x, t) = render_flux_batch(ds, chunk, crop);
@@ -585,7 +537,8 @@ pub fn feature_matrix(
     )
 }
 
-/// Hyper-parameters for classifier / joint-model training.
+/// The training schedule every model runs on: the flux CNN, the feature
+/// classifier and the joint model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClassifierTrainConfig {
     /// Passes over the training set.
@@ -599,18 +552,6 @@ pub struct ClassifierTrainConfig {
     /// Data-parallel worker threads per minibatch (1 = sequential; see
     /// [`crate::parallel::BatchExecutor`]).
     pub threads: usize,
-}
-
-impl Default for ClassifierTrainConfig {
-    fn default() -> Self {
-        ClassifierTrainConfig {
-            epochs: 30,
-            batch_size: 64,
-            lr: 3e-3,
-            seed: 13,
-            threads: 1,
-        }
-    }
 }
 
 fn rows_of(x: &Tensor, idx: &[usize]) -> Tensor {
@@ -931,13 +872,10 @@ mod tests {
         let val_refs = flux_pair_refs(&ds, &va, 2, 3);
         let mut rng = StdRng::seed_from_u64(4);
         let mut cnn = FluxCnn::new(36, PoolKind::Max, &mut rng);
-        let cfg = FluxTrainConfig {
-            crop: 36,
+        let cfg = ClassifierTrainConfig {
             epochs: 3,
             batch_size: 8,
             lr: 2e-3,
-            pairs_per_sample: 2,
-            augment: true,
             seed: 5,
             threads: 1,
         };
@@ -955,7 +893,7 @@ mod tests {
         let refs = flux_pair_refs(&ds, &[0, 1], 2, 6);
         let mut rng = StdRng::seed_from_u64(7);
         let mut cnn = FluxCnn::new(36, PoolKind::Max, &mut rng);
-        let preds = flux_predictions(&mut cnn, &ds, &refs, 36, 4);
+        let preds = flux_predictions(&mut cnn, &ds, &refs, 4);
         assert_eq!(preds.len(), refs.len());
         for (t, e) in &preds {
             assert!(t.is_finite() && e.is_finite());
@@ -1078,13 +1016,10 @@ mod tests {
         let val_refs = flux_pair_refs(&ds, &va, 2, 3);
         let mut rng = StdRng::seed_from_u64(4);
         let mut cnn = FluxCnn::new(36, PoolKind::Max, &mut rng);
-        let cfg = FluxTrainConfig {
-            crop: 36,
+        let cfg = ClassifierTrainConfig {
             epochs: 1,
             batch_size: 8,
             lr: 2e-3,
-            pairs_per_sample: 2,
-            augment: true,
             seed: 5,
             threads: 2,
         };

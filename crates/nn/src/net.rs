@@ -114,31 +114,43 @@ impl Sequential {
         self.layers.iter().map(|l| l.extra_state()).collect()
     }
 
-    /// Restores buffers captured by [`Sequential::extra_states`].
+    /// Checks that `states` fit the layers: one entry per layer, each as
+    /// long as that layer's [`Layer::extra_state`]. Replaces nothing.
     ///
     /// # Errors
     ///
-    /// Returns a [`StateError`] when the entry count differs from the
-    /// layer count or any layer rejects its slice; already-restored layers
-    /// keep the loaded values in that case.
-    pub fn load_extra_states(&mut self, states: &[Vec<f32>]) -> Result<(), StateError> {
+    /// As [`Sequential::load_extra_states`].
+    pub fn check_extra_states(&self, states: &[Vec<f32>]) -> Result<(), StateError> {
         if states.len() != self.layers.len() {
             return Err(StateError::LayerCount {
                 expected: self.layers.len(),
                 found: states.len(),
             });
         }
-        for (i, (layer, state)) in self.layers.iter_mut().zip(states).enumerate() {
-            layer.load_extra_state(state).map_err(|e| match e {
-                StateError::LengthMismatch {
-                    expected, found, ..
-                } => StateError::LengthMismatch {
+        for (i, (layer, state)) in self.layers.iter().zip(states).enumerate() {
+            let expected = layer.extra_state().len();
+            if state.len() != expected {
+                return Err(StateError::LengthMismatch {
                     layer: i,
                     expected,
-                    found,
-                },
-                other => other,
-            })?;
+                    found: state.len(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Restores buffers captured by [`Sequential::extra_states`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`StateError`] when the entry count differs from the
+    /// layer count or an entry's length differs from its layer's buffer.
+    /// Nothing is replaced unless every entry fits.
+    pub fn load_extra_states(&mut self, states: &[Vec<f32>]) -> Result<(), StateError> {
+        self.check_extra_states(states)?;
+        for (layer, state) in self.layers.iter_mut().zip(states) {
+            layer.load_extra_state(state)?;
         }
         Ok(())
     }
@@ -159,7 +171,7 @@ impl Sequential {
 mod tests {
     use super::*;
     use crate::init;
-    use crate::layers::{Linear, Relu};
+    use crate::layers::{BatchNorm, Linear, Relu};
     use crate::loss::mse_loss;
     use crate::optim::{Adam, Optimizer};
     use rand::rngs::StdRng;
@@ -217,6 +229,28 @@ mod tests {
             opt.step(&mut net.params_mut());
         }
         assert!(final_loss < 1e-3, "XOR loss stayed at {final_loss}");
+    }
+
+    #[test]
+    fn extra_states_load_all_or_nothing() {
+        let mut net = Sequential::new();
+        net.push(BatchNorm::new(2));
+        net.push(BatchNorm::new(3));
+        let before = net.extra_states();
+        // The first entry fits and the second does not: nothing changes.
+        let bad = vec![vec![7.0; 4], vec![7.0; 5]];
+        assert_eq!(
+            net.load_extra_states(&bad),
+            Err(StateError::LengthMismatch {
+                layer: 1,
+                expected: 6,
+                found: 5
+            })
+        );
+        assert_eq!(net.extra_states(), before);
+        let good = vec![vec![7.0; 4], vec![8.0; 6]];
+        net.load_extra_states(&good).unwrap();
+        assert_eq!(net.extra_states(), good);
     }
 
     #[test]

@@ -109,22 +109,21 @@ pub fn snapshot(net: &Sequential) -> Checkpoint {
     }
 }
 
-/// Restores a checkpoint into a network with the same architecture.
+/// Checks that `tensors` fit `net` (count, shapes and data lengths)
+/// without replacing anything.
 ///
 /// # Errors
 ///
-/// Returns [`LoadError::CountMismatch`], [`LoadError::ShapeMismatch`] or
-/// [`LoadError::LengthMismatch`] if the checkpoint does not fit the
-/// network. Nothing is replaced unless every tensor fits.
-pub fn restore(net: &mut Sequential, ckpt: &Checkpoint) -> Result<(), LoadError> {
-    let mut params = net.params_mut();
-    if params.len() != ckpt.tensors.len() {
+/// As [`restore`].
+pub fn check(net: &Sequential, tensors: &[NamedTensor]) -> Result<(), LoadError> {
+    let params = net.params();
+    if params.len() != tensors.len() {
         return Err(LoadError::CountMismatch {
             expected: params.len(),
-            found: ckpt.tensors.len(),
+            found: tensors.len(),
         });
     }
-    for (i, (p, t)) in params.iter().zip(&ckpt.tensors).enumerate() {
+    for (i, (p, t)) in params.iter().zip(tensors).enumerate() {
         if p.value.shape() != t.shape.as_slice() {
             return Err(LoadError::ShapeMismatch {
                 index: i,
@@ -140,7 +139,19 @@ pub fn restore(net: &mut Sequential, ckpt: &Checkpoint) -> Result<(), LoadError>
             });
         }
     }
-    for (p, t) in params.iter_mut().zip(&ckpt.tensors) {
+    Ok(())
+}
+
+/// Restores a checkpoint into a network with the same architecture.
+///
+/// # Errors
+///
+/// Returns [`LoadError::CountMismatch`], [`LoadError::ShapeMismatch`] or
+/// [`LoadError::LengthMismatch`] if the checkpoint does not fit the
+/// network. Nothing is replaced unless every tensor fits.
+pub fn restore(net: &mut Sequential, ckpt: &Checkpoint) -> Result<(), LoadError> {
+    check(net, &ckpt.tensors)?;
+    for (p, t) in net.params_mut().into_iter().zip(&ckpt.tensors) {
         p.value = Tensor::from_vec(t.shape.clone(), t.data.clone());
     }
     Ok(())

@@ -18,7 +18,7 @@ use snia_repro::core::flux_cnn::{FluxCnn, PoolKind};
 use snia_repro::core::joint::JointModel;
 use snia_repro::core::train::{
     feature_matrix, flux_pair_refs, joint_scores, train_classifier, train_flux_cnn, train_joint,
-    ClassifierTrainConfig, FluxTrainConfig, JointExample,
+    ClassifierTrainConfig, JointExample,
 };
 use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
 
@@ -44,13 +44,10 @@ fn main() {
         &ds,
         &train_refs,
         &val_refs,
-        &FluxTrainConfig {
-            crop,
+        &ClassifierTrainConfig {
             epochs: 2,
             batch_size: 16,
             lr: 1e-3,
-            pairs_per_sample: 2,
-            augment: true,
             seed: 3,
             threads: 1,
         },

@@ -10,7 +10,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use snia_repro::core::flux_cnn::{FluxCnn, PoolKind};
-use snia_repro::core::train::{flux_pair_refs, flux_predictions, train_flux_cnn, FluxTrainConfig};
+use snia_repro::core::train::{
+    flux_pair_refs, flux_predictions, train_flux_cnn, ClassifierTrainConfig,
+};
 use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
 
 fn main() {
@@ -48,13 +50,10 @@ fn main() {
         &ds,
         &train_refs,
         &val_refs,
-        &FluxTrainConfig {
-            crop,
+        &ClassifierTrainConfig {
             epochs: 3,
             batch_size: 16,
             lr: 1e-3,
-            pairs_per_sample: 3,
-            augment: true,
             seed: 4,
             threads: 1,
         },
@@ -67,7 +66,7 @@ fn main() {
     }
 
     // Calibration on detectable test pairs.
-    let preds = flux_predictions(&mut cnn, &ds, &test_refs, crop, 32);
+    let preds = flux_predictions(&mut cnn, &ds, &test_refs, 32);
     let detectable: Vec<(f64, f64)> = preds.into_iter().filter(|(t, _)| *t < 28.0).collect();
     let mae = detectable.iter().map(|(t, e)| (t - e).abs()).sum::<f64>() / detectable.len() as f64;
     println!(

@@ -36,8 +36,7 @@ use snia_repro::core::resilience::{CheckpointDir, Resilience};
 use snia_repro::core::train::{
     classifier_loss_acc, classifier_scores, feature_matrix, flux_pair_refs, flux_predictions,
     joint_batch, joint_examples, train_classifier, train_classifier_resilient, train_flux_cnn,
-    train_flux_cnn_resilient, train_joint_resilient, ClassifierTrainConfig, FluxTrainConfig,
-    TrainRecord,
+    train_flux_cnn_resilient, train_joint_resilient, ClassifierTrainConfig, TrainRecord,
 };
 use snia_repro::dataset::cache;
 use snia_repro::dataset::{split_indices, Dataset, DatasetConfig};
@@ -208,13 +207,10 @@ fn flux_run_fingerprint(
         ds,
         train_refs,
         val_refs,
-        &FluxTrainConfig {
-            crop: CROP,
+        &ClassifierTrainConfig {
             epochs: 2,
             batch_size: 8,
             lr: 1e-3,
-            pairs_per_sample: 2,
-            augment: true,
             seed: SEED,
             threads: 1,
         },
@@ -224,7 +220,7 @@ fn flux_run_fingerprint(
         bits.push(r.train_loss.to_bits());
         bits.push(r.val_loss.to_bits());
     }
-    for (true_mag, est_mag) in flux_predictions(&mut cnn, ds, val_refs, CROP, 4) {
+    for (true_mag, est_mag) in flux_predictions(&mut cnn, ds, val_refs, 4) {
         bits.push(true_mag.to_bits());
         bits.push(est_mag.to_bits());
     }
@@ -459,13 +455,10 @@ fn training_fingerprints() -> Vec<Fingerprint> {
             let case = |model: &str| format!("{model}/threads={threads}/ckpt={ckpt}");
 
             let mut cnn = FluxCnn::new(CROP, PoolKind::Max, &mut StdRng::seed_from_u64(SEED));
-            let flux_cfg = FluxTrainConfig {
-                crop: CROP,
+            let flux_cfg = ClassifierTrainConfig {
                 epochs: 2,
                 batch_size: 6,
                 lr: 1e-3,
-                pairs_per_sample: 2,
-                augment: true,
                 seed: SEED,
                 threads,
             };

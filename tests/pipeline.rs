@@ -10,7 +10,7 @@ use snia_repro::core::flux_cnn::{FluxCnn, PoolKind};
 use snia_repro::core::joint::JointModel;
 use snia_repro::core::train::{
     classifier_scores, feature_matrix, flux_pair_refs, joint_scores, train_classifier,
-    train_flux_cnn, ClassifierTrainConfig, FluxTrainConfig, JointExample,
+    train_flux_cnn, ClassifierTrainConfig, JointExample,
 };
 use snia_repro::dataset::{render_stamp, split_indices, Dataset, DatasetConfig};
 use snia_repro::nn::serialize::{restore, snapshot};
@@ -119,13 +119,10 @@ fn flux_cnn_trains_and_transfers_into_joint_model() {
         &ds,
         &train_refs,
         &val_refs,
-        &FluxTrainConfig {
-            crop,
+        &ClassifierTrainConfig {
             epochs: 2,
             batch_size: 8,
             lr: 1e-3,
-            pairs_per_sample: 2,
-            augment: true,
             seed: 3,
             threads: 1,
         },

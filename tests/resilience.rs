@@ -9,12 +9,12 @@ use snia_repro::core::flux_cnn::{FluxCnn, PoolKind};
 use snia_repro::core::joint::JointModel;
 use snia_repro::core::resilience::{
     capture_state, restore_state, CheckpointDir, CheckpointError, FaultPlan, Guardian, ModelState,
-    Resilience, TrainState, WatchdogConfig,
+    Resilience, TrainState,
 };
 use snia_repro::core::train::{
     classifier_scores, feature_matrix, flux_pair_refs, joint_examples, joint_scores,
     train_classifier_resilient, train_flux_cnn_resilient, train_joint_resilient,
-    ClassifierTrainConfig, FluxTrainConfig,
+    ClassifierTrainConfig,
 };
 use snia_repro::core::Model;
 use snia_repro::dataset::framing::{decode_framed, encode_framed};
@@ -134,13 +134,10 @@ fn flux_cnn_resume_reproduces_uninterrupted_run_exactly() {
     let crop = 36;
     let train_refs = flux_pair_refs(&ds, &tr, 1, 1);
     let val_refs = flux_pair_refs(&ds, &va, 1, 2);
-    let cfg = |epochs| FluxTrainConfig {
-        crop,
+    let cfg = |epochs| ClassifierTrainConfig {
         epochs,
         batch_size: 8,
         lr: 1e-3,
-        pairs_per_sample: 1,
-        augment: true,
         seed: 43,
         threads: 1,
     };
@@ -189,8 +186,11 @@ fn flux_cnn_resume_reproduces_uninterrupted_run_exactly() {
 #[test]
 fn joint_resume_reproduces_uninterrupted_run_exactly() {
     // The joint checkpoint concatenates the CNN's state and the
-    // classifier's; resume must split it back exactly. The watchdog stays
-    // off so only checkpoint/resume separates the two runs.
+    // classifier's; resume must split it back exactly. Checkpointing turns
+    // the watchdog on, and here it rolls epoch 0 back (its running average
+    // starts from one tiny first loss), so the reference run checkpoints
+    // too, into its own directory, and only the kill/resume separates the
+    // two runs.
     let ds = small_dataset(26);
     let (tr, va, te) = split_indices(ds.len(), 4);
     let crop = 16;
@@ -205,11 +205,9 @@ fn joint_resume_reproduces_uninterrupted_run_exactly() {
         threads: 1,
     };
     let fresh = || JointModel::from_scratch(crop, 8, &mut StdRng::seed_from_u64(23));
+    let ref_dir = scratch_dir("joint-reference");
     let dir = scratch_dir("joint-resume");
-    let checkpointing = || Resilience {
-        checkpoint_dir: Some(dir.clone()),
-        ..Resilience::disabled()
-    };
+    let checkpointing = || Resilience::with_dir(&dir);
 
     let mut a = fresh();
     let hist_a = train_joint_resilient(
@@ -218,7 +216,7 @@ fn joint_resume_reproduces_uninterrupted_run_exactly() {
         &train_ex,
         &val_ex,
         &cfg(2),
-        &Resilience::disabled(),
+        &Resilience::with_dir(&ref_dir),
     )
     .expect("reference run");
     assert_eq!(hist_a.len(), 2);
@@ -239,6 +237,7 @@ fn joint_resume_reproduces_uninterrupted_run_exactly() {
         joint_scores(&mut c, &ds, &test_ex, 4)
     );
     std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&ref_dir).ok();
 }
 
 #[test]
@@ -281,11 +280,10 @@ fn injected_worker_panic_is_survived_at_three_threads() {
     let (xt, tt, _) = feature_matrix(&ds, &tr, 1);
     let (xv, tv, _) = feature_matrix(&ds, &va, 1);
 
-    let res = Resilience {
-        checkpoint_dir: None,
-        watchdog: Some(WatchdogConfig::default()),
-        faults: FaultPlan::parse("panic_worker@epoch=0").expect("plan"),
-    };
+    let res = Resilience::new(
+        None,
+        FaultPlan::parse("panic_worker@epoch=0").expect("plan"),
+    );
     let mut clf = fresh_clf();
     let hist =
         train_classifier_resilient(&mut clf, (&xt, &tt), (&xv, &tv), &clf_config(2, 3), &res)
@@ -335,6 +333,48 @@ fn restoring_into_a_mismatched_model_is_a_typed_error() {
         matches!(wide.restore(&state), Err(CheckpointError::Model(_))),
         "shape mismatch must surface as CheckpointError::Model"
     );
+}
+
+/// The bit patterns of a state's weights and buffers (`==` on `f32`
+/// would equate `0.0` and `-0.0`).
+fn state_bits(state: &ModelState) -> Vec<u32> {
+    let weights = state.weights.tensors.iter().flat_map(|t| &t.data);
+    weights
+        .chain(state.extra.iter().flatten())
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+#[test]
+fn a_joint_state_whose_classifier_part_does_not_fit_changes_nothing() {
+    // The donor's CNN part fits the target and only its classifier part
+    // is broken, so a network-by-network restore would have overwritten
+    // the CNN (weights and BatchNorm statistics) before failing.
+    let joint = |seed| JointModel::from_scratch(16, 8, &mut StdRng::seed_from_u64(seed));
+    let donor = joint(61).capture();
+    let mut target = joint(62);
+    let before = target.capture();
+    assert_ne!(state_bits(&donor), state_bits(&before));
+
+    let mut bad_shape = donor.clone();
+    let last = bad_shape.weights.tensors.last_mut().expect("tensors");
+    last.shape.push(1);
+    match target.restore(&bad_shape) {
+        Err(CheckpointError::Model(LoadError::ShapeMismatch { .. })) => {}
+        other => panic!("bad shape: expected ShapeMismatch, got {other:?}"),
+    }
+    assert_eq!(state_bits(&target.capture()), state_bits(&before));
+
+    let mut bad_extra = donor.clone();
+    bad_extra.extra.last_mut().expect("layers").push(0.0);
+    match target.restore(&bad_extra) {
+        Err(CheckpointError::State(_)) => {}
+        other => panic!("bad extra state: expected State, got {other:?}"),
+    }
+    assert_eq!(state_bits(&target.capture()), state_bits(&before));
+
+    target.restore(&donor).expect("the donor's own state fits");
+    assert_eq!(state_bits(&target.capture()), state_bits(&donor));
 }
 
 #[test]
@@ -405,8 +445,6 @@ fn optimizer_moments_that_do_not_fit_the_model_are_a_typed_error() {
     }
 }
 
-/// A CRC-valid frame whose first tensor holds 79 values for its `[8, 10]`
-/// shape: only the restore can catch it, and it must be a typed error.
 #[test]
 fn manifest_crop_bound_is_the_stamp_size() {
     // The serve crate does not depend on the simulator, so its bound is
@@ -414,6 +452,8 @@ fn manifest_crop_bound_is_the_stamp_size() {
     assert_eq!(MAX_CROP, snia_repro::skysim::STAMP_SIZE);
 }
 
+/// A CRC-valid frame whose first tensor holds 79 values for its `[8, 10]`
+/// shape: only the restore can catch it, and it must be a typed error.
 #[test]
 fn tensor_data_that_does_not_fill_its_shape_is_a_typed_error() {
     let clf = || LightCurveClassifier::new(1, 8, &mut StdRng::seed_from_u64(17));
