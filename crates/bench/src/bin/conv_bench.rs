@@ -4,6 +4,10 @@
 //! convolutions run at crop 60, and the data-parallel joint training loop
 //! at 1/2/4 threads. Writes `BENCH_conv.json` at the workspace root, with
 //! the host's core count, SIMD flags and the GEMM micro-kernel that ran.
+//! The `host`, `flux_cnn_gemm` and `joint_training` of the file it
+//! replaces are kept as `previous_host`, `previous_flux_cnn_gemm` and
+//! `previous_joint_training`, so running it at a parent commit and then
+//! at a change records before and after on one host.
 //!
 //! Run with `cargo run --release -p snia-bench --bin conv_bench`.
 
@@ -11,7 +15,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use snia_bench::{host_info, progress, HostInfo, Table};
 use snia_core::joint::JointModel;
@@ -44,6 +48,12 @@ struct ConvBenchResult {
     host: HostInfo,
     flux_cnn_gemm: Vec<GemmTiming>,
     joint_training: Vec<ThreadTiming>,
+    /// `host` of the `BENCH_conv.json` this run replaced (null if none).
+    previous_host: Value,
+    /// `flux_cnn_gemm` of the `BENCH_conv.json` this run replaced.
+    previous_flux_cnn_gemm: Value,
+    /// `joint_training` of the `BENCH_conv.json` this run replaced.
+    previous_joint_training: Value,
     note: String,
 }
 
@@ -177,10 +187,17 @@ fn main() {
         host.nproc
     ));
 
+    let previous = std::fs::read_to_string("BENCH_conv.json")
+        .ok()
+        .and_then(|text| serde_json::from_str::<Value>(&text).ok())
+        .unwrap_or(Value::Null);
     let result = ConvBenchResult {
         host,
         flux_cnn_gemm,
         joint_training: joint,
+        previous_host: previous["host"].clone(),
+        previous_flux_cnn_gemm: previous["flux_cnn_gemm"].clone(),
+        previous_joint_training: previous["joint_training"].clone(),
         note: "thread speedups are bounded by the core count (host.nproc); \
                oversubscribed threads add only overhead"
             .into(),

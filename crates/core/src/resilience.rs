@@ -13,8 +13,9 @@
 //!   temp-file + fsync + rename write, and a rolling `latest`/`prev` pair
 //!   so a crash mid-write never loses the run.
 //! * **Divergence watchdog.** [`Watchdog`] screens every mini-batch loss
-//!   and gradient norm for NaN/Inf and explosions, absolute and relative
-//!   to a running average, against fixed thresholds. On divergence the
+//!   and gradient norm for NaN/Inf and for explosions past fixed absolute
+//!   thresholds. It keeps no history, so a run that never crosses them
+//!   trains exactly as it does without the watchdog. On divergence the
 //!   [`Guardian`] rolls the run back to the last good state, halves the
 //!   learning rate and retries up to three times, emitting
 //!   `resilience.*` telemetry instead of crashing. The watchdog runs
@@ -369,10 +370,8 @@ impl CheckpointDir {
 // Watchdog
 // ---------------------------------------------------------------------------
 
-/// Any |loss| above this is an explosion regardless of history.
+/// Any |loss| above this is an explosion.
 const MAX_LOSS: f64 = 1e6;
-/// A loss this many times the running average is an explosion.
-const EXPLOSION_FACTOR: f64 = 1e3;
 /// Any gradient norm above this is an explosion.
 const MAX_GRAD_NORM: f64 = 1e6;
 /// Rollbacks allowed before the run gives up.
@@ -388,13 +387,13 @@ pub enum Divergence {
         /// Global step at which it happened.
         step: u64,
     },
-    /// The loss exceeded an absolute or relative explosion threshold.
+    /// The loss exceeded the absolute explosion threshold.
     LossExploded {
         /// Global step at which it happened.
         step: u64,
         /// The offending loss value.
         loss: f64,
-        /// The threshold or running average it was compared against.
+        /// The threshold it exceeded.
         baseline: f64,
     },
     /// A parameter gradient norm was NaN or infinite.
@@ -433,48 +432,36 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// Screens per-step losses and gradient norms for divergence.
-#[derive(Debug, Default)]
-pub struct Watchdog {
-    ema: Option<f64>,
-}
+/// Screens per-step losses and gradient norms for divergence. Each check
+/// depends on its own step alone: no history, so nothing to checkpoint
+/// and nothing that can differ between a resumed run and an
+/// uninterrupted one.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Watchdog;
 
 impl Watchdog {
-    /// Creates a watchdog with no loss history.
+    /// Creates a watchdog.
     pub fn new() -> Self {
-        Watchdog::default()
+        Watchdog
     }
 
-    /// Checks one mini-batch loss and folds it into the running average.
+    /// Checks one mini-batch loss.
     ///
     /// # Errors
     ///
     /// Returns the [`Divergence`] when the loss is non-finite or exploded.
-    pub fn check_loss(&mut self, step: u64, loss: f64) -> Result<(), Divergence> {
+    pub fn check_loss(&self, step: u64, loss: f64) -> Result<(), Divergence> {
         if !loss.is_finite() {
-            return Err(Divergence::NonFiniteLoss { step });
-        }
-        if loss.abs() > MAX_LOSS {
-            return Err(Divergence::LossExploded {
+            Err(Divergence::NonFiniteLoss { step })
+        } else if loss.abs() > MAX_LOSS {
+            Err(Divergence::LossExploded {
                 step,
                 loss,
                 baseline: MAX_LOSS,
-            });
+            })
+        } else {
+            Ok(())
         }
-        if let Some(ema) = self.ema {
-            if ema > 1e-12 && loss > ema * EXPLOSION_FACTOR {
-                return Err(Divergence::LossExploded {
-                    step,
-                    loss,
-                    baseline: ema,
-                });
-            }
-        }
-        self.ema = Some(match self.ema {
-            Some(e) => 0.9 * e + 0.1 * loss,
-            None => loss,
-        });
-        Ok(())
     }
 
     /// Checks one accumulated gradient norm.
@@ -490,12 +477,6 @@ impl Watchdog {
         } else {
             Ok(())
         }
-    }
-
-    /// Forgets the running average (after a rollback the loss scale may
-    /// legitimately jump).
-    pub fn reset(&mut self) {
-        self.ema = None;
     }
 }
 
@@ -816,13 +797,13 @@ impl<'a> Guardian<'a> {
     ///
     /// Returns the [`Divergence`] the watchdog detected; the caller should
     /// roll back via [`Guardian::rollback`].
-    pub fn check_loss(&mut self, step: u64, loss: f64) -> Result<(), Divergence> {
+    pub fn check_loss(&self, step: u64, loss: f64) -> Result<(), Divergence> {
         let loss = if self.res.faults.fire_nan_loss(step) {
             f64::NAN
         } else {
             loss
         };
-        match &mut self.watchdog {
+        match &self.watchdog {
             Some(wd) => wd.check_loss(step, loss),
             None => Ok(()),
         }
@@ -868,9 +849,6 @@ impl<'a> Guardian<'a> {
         state.optim.lr *= LR_FACTOR;
         let state = state.clone();
         restore_state(&state, model, opt, rng, history)?;
-        if let Some(wd) = &mut self.watchdog {
-            wd.reset();
-        }
         snia_telemetry::counter_add("resilience.rollbacks_total", 1);
         snia_telemetry::gauge_set("resilience.lr", f64::from(state.optim.lr));
         if let Some(dir) = &self.dir {
@@ -1048,7 +1026,7 @@ mod tests {
 
     #[test]
     fn watchdog_detects_divergence() {
-        let mut wd = Watchdog::new();
+        let wd = Watchdog::new();
         for step in 0..10 {
             wd.check_loss(step, 1.0).unwrap();
         }
@@ -1057,11 +1035,12 @@ mod tests {
             Err(Divergence::NonFiniteLoss { step: 10 })
         ));
         assert!(matches!(
-            wd.check_loss(11, 2e4),
+            wd.check_loss(11, 2e6),
             Err(Divergence::LossExploded { .. })
         ));
-        // A modest increase is fine.
-        wd.check_loss(12, 1.5).unwrap();
+        // A jump of four orders of magnitude is not a divergence: only
+        // the absolute bound counts, not the losses before it.
+        wd.check_loss(12, 2e4).unwrap();
         assert!(matches!(
             wd.check_grad_norm(13, f64::INFINITY),
             Err(Divergence::NonFiniteGradient { .. })
@@ -1071,14 +1050,11 @@ mod tests {
             Err(Divergence::GradientExploded { .. })
         ));
         wd.check_grad_norm(13, 10.0).unwrap();
-        // After reset the next loss re-seeds the average.
-        wd.reset();
-        wd.check_loss(14, 500.0).unwrap();
     }
 
     #[test]
-    fn watchdog_absolute_threshold_applies_before_warmup() {
-        let mut wd = Watchdog::new();
+    fn watchdog_absolute_threshold_applies_from_the_first_step() {
+        let wd = Watchdog::new();
         assert!(matches!(
             wd.check_loss(0, 1e7),
             Err(Divergence::LossExploded { .. })

@@ -23,14 +23,20 @@
 //! run through a stack temporary.
 //!
 //! There is one micro-kernel, `kernel_portable`, in plain Rust. It is
-//! compiled twice: for the build's baseline target, and inside an
-//! `avx2`-enabled wrapper (`gemm/x86.rs`) that runs when the CPU reports
-//! AVX2 at run time. A hand-written `std::arch` intrinsics kernel buys
-//! nothing: one was bit-identical to that wrapper on the flux CNN's nine
-//! crop-60 conv GEMMs and no faster (EXPERIMENTS.md, "One GEMM
-//! micro-kernel"). The axpy driver the tiled one replaced
-//! streamed each output row through `out_row += a · b_row` per `p`; an
-//! earlier packed tile had lost to it at the SSE2 baseline, but loading
+//! compiled three times: for the build's baseline target, and inside an
+//! `avx2`-enabled and an `avx512f`-enabled wrapper (`gemm/x86.rs`). Each
+//! call runs the widest build the CPU reports at run time; all three do
+//! the same separate multiplies and adds in the same order, so they are
+//! bit-identical to one another, and the unit tests check every build the
+//! CPU offers against the others. The AVX-512F build holds a tile row in
+//! one `zmm` register instead of two `ymm` ones and runs the flux CNN's
+//! nine crop-60 conv GEMMs 1.26x faster in total than the AVX2 build on a
+//! 2-vCPU AVX-512 host (EXPERIMENTS.md, "AVX-512 eval forward"). A
+//! hand-written `std::arch` intrinsics kernel buys nothing: one was
+//! bit-identical to the AVX2 wrapper on the flux CNN's nine crop-60 conv
+//! GEMMs and no faster (EXPERIMENTS.md, "One GEMM micro-kernel"). The
+//! axpy driver the tiled one replaced streamed each output row through
+//! `out_row += a · b_row` per `p`; an earlier packed tile had lost to it at the SSE2 baseline, but loading
 //! and storing the output row on every multiply-add held it to 3.5–13
 //! GFLOP/s on the flux CNN's convolutions. On a 2-vCPU AVX2 host the tiled
 //! driver runs those nine GEMM shapes about 3.1x faster in total, and the
@@ -43,7 +49,8 @@ use std::cell::RefCell;
 /// CNN's channel counts (10/20/30) and `C·K·K` (25/250/500), so its
 /// convolutions cut no fringe strips.
 const MR: usize = 5;
-/// Columns of a `B` panel and of the register tile (two AVX vectors).
+/// Columns of a `B` panel and of the register tile (two AVX vectors, one
+/// AVX-512 vector).
 const NR: usize = 16;
 /// `k`-dimension block: one packed `B` panel is `KC·NR·4` = 16 KiB.
 const KC: usize = 256;
@@ -102,28 +109,79 @@ pub fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
     gemm(View::new(a, 1, m), View::new(b, 1, n), out, m, k, n);
 }
 
-/// Name of the micro-kernel this CPU runs: `"avx2"` or `"portable"`.
+/// Name of the micro-kernel this CPU runs: `"avx512f"`, `"avx2"` or
+/// `"portable"`.
 pub fn kernel_name() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if x86::Avx2::detect().is_some() {
-        return "avx2";
-    }
-    "portable"
+    Kernel::detect().name()
 }
 
-/// Picks the micro-kernel once per call and runs the blocked driver.
+/// One build of the micro-kernel. The `x86` builds carry the token that
+/// proves the CPU has their feature.
+#[derive(Clone, Copy)]
+enum Kernel {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2(x86::Avx2),
+    #[cfg(target_arch = "x86_64")]
+    Avx512(x86::Avx512),
+}
+
+impl Kernel {
+    /// The widest build this CPU runs.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx512) = x86::Avx512::detect() {
+            return Kernel::Avx512(avx512);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = x86::Avx2::detect() {
+            return Kernel::Avx2(avx2);
+        }
+        Kernel::Portable
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Kernel::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2(_) => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512(_) => "avx512f",
+        }
+    }
+}
+
+/// Runs the blocked driver with the widest micro-kernel this CPU runs.
 fn gemm(a: View<'_>, b: View<'_>, out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(out.len(), m * n);
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    if let Some(avx2) = x86::Avx2::detect() {
-        return blocked(a, b, out, m, k, n, |kc, ap, bp, c, ldc| {
+    gemm_with(Kernel::detect(), a, b, out, m, k, n);
+}
+
+/// The blocked driver with `kernel`, monomorphised per build so each
+/// kernel call is a direct call.
+fn gemm_with(
+    kernel: Kernel,
+    a: View<'_>,
+    b: View<'_>,
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    match kernel {
+        Kernel::Portable => blocked(a, b, out, m, k, n, kernel_portable),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2(avx2) => blocked(a, b, out, m, k, n, |kc, ap, bp, c, ldc| {
             avx2.kernel(kc, ap, bp, c, ldc)
-        });
+        }),
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx512(avx512) => blocked(a, b, out, m, k, n, |kc, ap, bp, c, ldc| {
+            avx512.kernel(kc, ap, bp, c, ldc)
+        }),
     }
-    blocked(a, b, out, m, k, n, kernel_portable);
 }
 
 /// The blocked driver: `KC` slices of `k` outermost, so every output tile
@@ -230,8 +288,8 @@ fn pack_panels<const W: usize>(
 /// Each step reads its `A` and `B` values through fixed-size array views,
 /// so the tile loops have constant trip counts and no bounds checks; it is
 /// inlined into every caller, so the compiler vectorises the `NR`-wide
-/// rows for the caller's target features (two AVX vectors per row in
-/// `x86`'s wrapper).
+/// rows for the caller's target features (two `ymm` vectors per row in
+/// `x86`'s AVX2 wrapper, one `zmm` vector in its AVX-512F wrapper).
 #[inline(always)]
 fn kernel_portable(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
     let mut acc = [[0.0f32; NR]; MR];
@@ -255,8 +313,8 @@ fn kernel_portable(kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
     }
 }
 
-/// The AVX2 build of the micro-kernel, the one module in the workspace
-/// allowed `unsafe_code`.
+/// The AVX2 and AVX-512F builds of the micro-kernel, the one module in
+/// the workspace allowed `unsafe_code`.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86;
@@ -322,20 +380,19 @@ mod tests {
         let init = frac_data(m * n, seed ^ 0x1234);
         let mut want = init.clone();
         naive_matmul(&a, &b, &mut want, m, k, n);
-        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = bits(&want);
 
         let mut got = init.clone();
         gemm_nn(&a, &b, &mut got, m, k, n);
-        assert_eq!(bits(got), want, "gemm_nn {m}x{k}x{n}");
+        assert_eq!(bits(&got), want, "gemm_nn {m}x{k}x{n}");
 
         let mut got = init.clone();
         gemm_nt(&a, &transpose(&b, k, n), &mut got, m, k, n);
-        assert_eq!(bits(got), want, "gemm_nt {m}x{k}x{n}");
+        assert_eq!(bits(&got), want, "gemm_nt {m}x{k}x{n}");
 
         let mut got = init;
         gemm_tn(&transpose(&a, m, k), &b, &mut got, m, k, n);
-        assert_eq!(bits(got), want, "gemm_tn {m}x{k}x{n}");
+        assert_eq!(bits(&got), want, "gemm_tn {m}x{k}x{n}");
     }
 
     #[test]
@@ -367,24 +424,113 @@ mod tests {
         }
     }
 
-    #[test]
-    fn portable_kernel_matches_avx2_kernel() {
+    /// Every build of the micro-kernel this CPU runs, portable first,
+    /// named on stderr so a test log shows which builds were checked.
+    fn available_kernels() -> Vec<Kernel> {
+        #[allow(unused_mut)]
+        let mut kernels = vec![Kernel::Portable];
         #[cfg(target_arch = "x86_64")]
-        if let Some(avx2) = x86::Avx2::detect() {
-            for (kc, ldc) in [(1, NR), (7, NR + 3), (KC, 40)] {
-                let a = frac_data(kc * MR, kc as u64);
-                let b = frac_data(kc * NR, ldc as u64);
-                let c0 = frac_data((MR - 1) * ldc + NR, 99);
-                let mut want = c0.clone();
-                kernel_portable(kc, &a, &b, &mut want, ldc);
-                let mut got = c0;
-                avx2.kernel(kc, &a, &b, &mut got, ldc);
-                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "kc={kc} ldc={ldc}");
-            }
-            return;
+        {
+            kernels.extend(x86::Avx2::detect().map(Kernel::Avx2));
+            kernels.extend(x86::Avx512::detect().map(Kernel::Avx512));
         }
-        eprintln!("no AVX2 on this CPU: only the portable kernel runs");
+        let names: Vec<_> = kernels.iter().map(|k| k.name()).collect();
+        eprintln!("GEMM micro-kernel builds on this CPU: {names:?}");
+        kernels
+    }
+
+    fn run_kernel(kernel: Kernel, kc: usize, a: &[f32], b: &[f32], c: &mut [f32], ldc: usize) {
+        match kernel {
+            Kernel::Portable => kernel_portable(kc, a, b, c, ldc),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2(avx2) => avx2.kernel(kc, a, b, c, ldc),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512(avx512) => avx512.kernel(kc, a, b, c, ldc),
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn kernel_builds_are_bit_identical() {
+        let kernels = available_kernels();
+        for (kc, ldc) in [(1, NR), (7, NR + 3), (KC, 40)] {
+            let a = frac_data(kc * MR, kc as u64);
+            let b = frac_data(kc * NR, ldc as u64);
+            let c0 = frac_data((MR - 1) * ldc + NR, 99);
+            let mut want = c0.clone();
+            kernel_portable(kc, &a, &b, &mut want, ldc);
+            for &kernel in &kernels {
+                let mut got = c0.clone();
+                run_kernel(kernel, kc, &a, &b, &mut got, ldc);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{} kc={kc} ldc={ldc}",
+                    kernel.name()
+                );
+            }
+        }
+    }
+
+    /// The whole driver with each build, at the nine GEMMs the flux CNN's
+    /// convolutions run at crop 60 (forward `nn`, weight gradient `nt`,
+    /// input gradient `tn`): bit-identical to the oracle and to one
+    /// another. Only this test runs the narrower builds on a CPU that has
+    /// a wider one.
+    #[test]
+    fn driver_is_bit_identical_with_every_kernel_build() {
+        let kernels = available_kernels();
+        let (mut side, mut in_ch) = (60usize, 1usize);
+        for out_ch in [10usize, 20, 30] {
+            let (oc, ckk, owl) = (out_ch, in_ch * 25, side * side);
+            // (variant, m, k, n, A strides, B strides) as conv.rs calls them.
+            for (variant, m, k, n, a_t, b_t) in [
+                ("nn", oc, ckk, owl, false, false),
+                ("nt", oc, owl, ckk, false, true),
+                ("tn", ckk, oc, owl, true, false),
+            ] {
+                let seed = (m * 7 + k * 3 + n) as u64;
+                let a = frac_data(m * k, seed);
+                let b = frac_data(k * n, seed ^ 0xABCD);
+                let init = frac_data(m * n, seed ^ 0x1234);
+                let mut want = init.clone();
+                naive_matmul(&a, &b, &mut want, m, k, n);
+                let a_stored = if a_t { transpose(&a, m, k) } else { a.clone() };
+                let b_stored = if b_t { transpose(&b, k, n) } else { b.clone() };
+                let a_view = if a_t {
+                    View::new(&a_stored, 1, m)
+                } else {
+                    View::new(&a_stored, k, 1)
+                };
+                let b_view = if b_t {
+                    View::new(&b_stored, k, 1)
+                } else {
+                    View::new(&b_stored, 1, n)
+                };
+                for &kernel in &kernels {
+                    let mut got = init.clone();
+                    gemm_with(kernel, a_view, b_view, &mut got, m, k, n);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{} {variant} {m}x{k}x{n}",
+                        kernel.name()
+                    );
+                }
+            }
+            side /= 2;
+            in_ch = out_ch;
+        }
+    }
+
+    #[test]
+    fn kernel_name_is_the_widest_build() {
+        let widest = *available_kernels().last().expect("portable always runs");
+        eprintln!("gemm::kernel_name() = {}", kernel_name());
+        assert_eq!(kernel_name(), widest.name());
     }
 
     #[test]

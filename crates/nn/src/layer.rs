@@ -121,9 +121,23 @@ impl std::error::Error for StateError {}
 /// Calling `backward` twice without an intervening `forward`, or after an
 /// `Eval`-mode forward, is a logic error; implementations panic on a missing
 /// cache.
+///
+/// [`Layer::forward_owned`] is the same forward for a caller that no
+/// longer needs its input, such as [`crate::Sequential`] between layers.
+/// A layer may then reuse the input's buffer: rewrite it in place into
+/// the output, reshape it without a copy, or keep it as its backward
+/// cache without cloning. Both entry points must give bit-identical
+/// outputs and leave the same backward cache.
 pub trait Layer: std::fmt::Debug + Send {
     /// Computes the layer output for `input`.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor;
+
+    /// [`Layer::forward`] on an input the caller hands over. The default
+    /// borrows it; a layer overrides this when owning the input saves an
+    /// allocation or a copy, and its `forward` then clones into it.
+    fn forward_owned(&mut self, input: Tensor, mode: Mode) -> Tensor {
+        self.forward(&input, mode)
+    }
 
     /// Backpropagates `grad_output`, accumulating parameter gradients and
     /// returning the gradient with respect to the layer input.

@@ -101,11 +101,15 @@ fn channel_totals(plane_totals: &[f32], c: usize) -> Vec<f32> {
 
 impl Layer for BatchNorm {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.forward_owned(input.clone(), mode)
+    }
+
+    /// Normalises the input in place, in both modes.
+    fn forward_owned(&mut self, mut input: Tensor, mode: Mode) -> Tensor {
         let (n, l) = self.dims(input.shape());
         let c = self.channels;
         let m = (n * l) as f32;
         let data = input.data();
-        let mut out = Tensor::zeros(input.shape().to_vec());
 
         let (mean, var) = if mode == Mode::Train {
             assert!(
@@ -156,15 +160,14 @@ impl Layer for BatchNorm {
             let ci = p % c;
             (mean[ci], inv_std[ci], gamma[ci], beta[ci])
         };
-        let plane = l.max(1);
-        let planes = data.chunks_exact(plane).enumerate();
-        let outs = out.data_mut().chunks_exact_mut(plane);
+        let (plane, len) = (l.max(1), input.len());
+        let planes = input.data_mut().chunks_exact_mut(plane).enumerate();
         if mode == Mode::Train {
-            let mut xhat = vec![0.0f32; data.len()];
-            for (((p, x), y), xh) in planes.zip(outs).zip(xhat.chunks_exact_mut(plane)) {
+            let mut xhat = vec![0.0f32; len];
+            for ((p, y), xh) in planes.zip(xhat.chunks_exact_mut(plane)) {
                 let (mu, is, g, b) = stats(p);
-                for ((y, xh), &x) in y.iter_mut().zip(xh).zip(x) {
-                    *xh = (x - mu) * is;
+                for (y, xh) in y.iter_mut().zip(xh) {
+                    *xh = (*y - mu) * is;
                     *y = g * *xh + b;
                 }
             }
@@ -174,14 +177,14 @@ impl Layer for BatchNorm {
                 inv_std,
             });
         } else {
-            for ((p, x), y) in planes.zip(outs) {
+            for (p, y) in planes {
                 let (mu, is, g, b) = stats(p);
-                for (y, &x) in y.iter_mut().zip(x) {
-                    *y = g * ((x - mu) * is) + b;
+                for y in y {
+                    *y = g * ((*y - mu) * is) + b;
                 }
             }
         }
-        out
+        input
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -62,7 +62,9 @@ pub struct Conv2d {
     /// Reusable one-sample im2col / column-gradient buffers (see module
     /// docs).
     scratch: Scratch,
-    cache: Option<ConvCache>,
+    /// The input of the last training forward; backward lowers it again
+    /// one sample at a time.
+    cache_input: Option<Tensor>,
 }
 
 #[derive(Default)]
@@ -71,14 +73,6 @@ struct Scratch {
     dcol: Vec<f32>,
     /// Per-output-channel sums of one sample's output gradient.
     db: Vec<f32>,
-}
-
-/// What backward needs from the training forward: the raw input
-/// (re-lowered one sample at a time) and the output size.
-struct ConvCache {
-    input: Tensor,
-    out_h: usize,
-    out_w: usize,
 }
 
 impl std::fmt::Debug for Conv2d {
@@ -91,7 +85,7 @@ impl std::fmt::Debug for Conv2d {
             .field("kernel", &self.kernel)
             .field("padding", &self.padding)
             .field("scratch_len", &self.scratch.col.len())
-            .field("cached", &self.cache.is_some())
+            .field("cached", &self.cache_input.is_some())
             .finish()
     }
 }
@@ -124,7 +118,7 @@ impl Conv2d {
             kernel,
             padding,
             scratch: Scratch::default(),
-            cache: None,
+            cache_input: None,
         }
     }
 
@@ -180,10 +174,9 @@ impl Conv2d {
         );
         (n, c, h, w)
     }
-}
 
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    /// The lowered forward: per sample, im2col, one GEMM and the bias.
+    fn convolve(&mut self, input: &Tensor) -> Tensor {
         let (n, c, h, w) = self.check_input(input);
         let (out_h, out_w) = self.out_size(h, w);
         let g = self.geom(h, w);
@@ -211,32 +204,41 @@ impl Layer for Conv2d {
                 }
             }
         }
+        out
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        let out = self.convolve(input);
         if mode == Mode::Train {
-            self.cache = Some(ConvCache {
-                input: input.clone(),
-                out_h,
-                out_w,
-            });
+            self.cache_input = Some(input.clone());
+        }
+        out
+    }
+
+    /// Keeps the input itself, not a copy, for backward.
+    fn forward_owned(&mut self, input: Tensor, mode: Mode) -> Tensor {
+        let out = self.convolve(&input);
+        if mode == Mode::Train {
+            self.cache_input = Some(input);
         }
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let ConvCache {
-            input,
-            out_h,
-            out_w,
-        } = self
-            .cache
+        let input = self
+            .cache_input
             .take()
             .expect("Conv2d::backward called without a training forward pass");
         let oc = self.out_channels;
+        let (c, h, w) = (input.shape()[1], input.shape()[2], input.shape()[3]);
+        let (out_h, out_w) = self.out_size(h, w);
         assert_eq!(
             grad_output.shape(),
             &[input.shape()[0], oc, out_h, out_w],
             "Conv2d grad_output shape mismatch"
         );
-        let (c, h, w) = (input.shape()[1], input.shape()[2], input.shape()[3]);
         let g = self.geom(h, w);
         let (ckk, ow_len) = (g.col_rows(), out_h * out_w);
 

@@ -18,13 +18,18 @@ impl Flatten {
 
 impl Layer for Flatten {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.forward_owned(input.clone(), mode)
+    }
+
+    /// Keeps the input's buffer: only the shape changes.
+    fn forward_owned(&mut self, input: Tensor, mode: Mode) -> Tensor {
         assert!(input.ndim() >= 1, "Flatten needs at least a batch axis");
         let n = input.shape()[0];
         let rest: usize = input.shape()[1..].iter().product();
         if mode == Mode::Train {
             self.cache_shape = Some(input.shape().to_vec());
         }
-        input.reshape(vec![n, rest])
+        input.into_reshape(vec![n, rest])
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -13,18 +13,26 @@ use crate::tensor::Tensor;
 ///
 /// The window is square and the stride equals the window size. Trailing rows
 /// and columns that do not fill a window are dropped (floor semantics), as
-/// in most frameworks.
+/// in most frameworks. Each window keeps its first element greater than
+/// every earlier one, scanning rows then columns from −∞, so a window of
+/// only NaN or −∞ routes its gradient to its own first element. The
+/// paper's 2×2 window runs a dedicated loop over row pairs that makes the
+/// same four compares in the same order.
 #[derive(Debug)]
 pub struct MaxPool2d {
     window: usize,
     cache: Option<PoolCache>,
 }
 
+/// Largest window [`MaxPool2d`] accepts: argmax offsets are `u8`.
+const MAX_WINDOW: usize = 16;
+
 #[derive(Debug)]
 struct PoolCache {
     input_shape: Vec<usize>,
-    /// Flat input index of the maximum for each output element.
-    argmax: Vec<usize>,
+    /// Offset `ky·window + kx` of each output element's maximum within its
+    /// window.
+    argmax: Vec<u8>,
 }
 
 impl MaxPool2d {
@@ -33,9 +41,13 @@ impl MaxPool2d {
     ///
     /// # Panics
     ///
-    /// Panics if `window == 0`.
+    /// Panics if `window == 0` or `window > 16`.
     pub fn new(window: usize) -> Self {
         assert!(window > 0, "window must be positive");
+        assert!(
+            window <= MAX_WINDOW,
+            "window {window} is over the largest supported, {MAX_WINDOW}"
+        );
         MaxPool2d {
             window,
             cache: None,
@@ -45,6 +57,71 @@ impl MaxPool2d {
     /// Output spatial size for an input size.
     pub fn out_size(&self, h: usize, w: usize) -> (usize, usize) {
         (h / self.window, w / self.window)
+    }
+}
+
+/// Max-pools one `h×w` plane into `out` (`oh×ow`) with 2×2 windows,
+/// calling `record(output index, argmax offset)` for each window.
+fn max_pool_2x2(plane: &[f32], w: usize, out: &mut [f32], mut record: impl FnMut(usize, u8)) {
+    let ow = w / 2;
+    if ow == 0 {
+        return;
+    }
+    for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
+        let top = &plane[2 * oy * w..][..2 * ow];
+        let bottom = &plane[(2 * oy + 1) * w..][..2 * ow];
+        let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+        for (ox, (o, (t, b))) in out_row.iter_mut().zip(windows).enumerate() {
+            let (mut best, mut at) = (f32::NEG_INFINITY, 0u8);
+            for (offset, v) in [t[0], t[1], b[0], b[1]].into_iter().enumerate() {
+                if v > best {
+                    best = v;
+                    at = offset as u8;
+                }
+            }
+            *o = best;
+            record(oy * ow + ox, at);
+        }
+    }
+}
+
+/// [`max_pool_2x2`] for any window `k`.
+fn max_pool_kxk(
+    plane: &[f32],
+    w: usize,
+    k: usize,
+    out: &mut [f32],
+    mut record: impl FnMut(usize, u8),
+) {
+    let ow = w / k;
+    if ow == 0 {
+        return;
+    }
+    for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
+        for (ox, o) in out_row.iter_mut().enumerate() {
+            let (mut best, mut at) = (f32::NEG_INFINITY, 0u8);
+            for ky in 0..k {
+                let row = &plane[(oy * k + ky) * w + ox * k..][..k];
+                for (kx, &v) in row.iter().enumerate() {
+                    if v > best {
+                        best = v;
+                        at = (ky * k + kx) as u8;
+                    }
+                }
+            }
+            *o = best;
+            record(oy * ow + ox, at);
+        }
+    }
+}
+
+/// Max-pools one plane with `k×k` windows, the paper's 2×2 through its
+/// own loop.
+fn max_pool(plane: &[f32], w: usize, k: usize, out: &mut [f32], record: impl FnMut(usize, u8)) {
+    if k == 2 {
+        max_pool_2x2(plane, w, out, record)
+    } else {
+        max_pool_kxk(plane, w, k, out, record)
     }
 }
 
@@ -65,46 +142,22 @@ impl Layer for MaxPool2d {
         );
         let k = self.window;
         let mut out = Tensor::zeros(vec![n, c, oh, ow]);
-        // Only a training pass needs the argmax for backward.
-        let train = mode == Mode::Train;
-        let mut argmax = vec![0usize; if train { n * c * oh * ow } else { 0 }];
-        let data = input.data();
-        let out_data = out.data_mut();
-        for ni in 0..n {
-            for ci in 0..c {
-                let plane_off = (ni * c + ci) * h * w;
-                let out_off = (ni * c + ci) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        // A window with no value above −∞ (all NaN or −∞)
-                        // routes its gradient to its own first element.
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = plane_off + oy * k * w + ox * k;
-                        for ky in 0..k {
-                            let iy = oy * k + ky;
-                            let row_off = plane_off + iy * w;
-                            for kx in 0..k {
-                                let ix = ox * k + kx;
-                                let v = data[row_off + ix];
-                                if v > best {
-                                    best = v;
-                                    best_idx = row_off + ix;
-                                }
-                            }
-                        }
-                        out_data[out_off + oy * ow + ox] = best;
-                        if train {
-                            argmax[out_off + oy * ow + ox] = best_idx;
-                        }
-                    }
-                }
+        let planes = input.data().chunks_exact(h * w);
+        let outs = out.data_mut().chunks_exact_mut(oh * ow);
+        if mode == Mode::Train {
+            // Only a training pass needs the argmax for backward.
+            let mut argmax = vec![0u8; n * c * oh * ow];
+            for ((plane, out), at) in planes.zip(outs).zip(argmax.chunks_exact_mut(oh * ow)) {
+                max_pool(plane, w, k, out, |i, offset| at[i] = offset);
             }
-        }
-        if train {
             self.cache = Some(PoolCache {
                 input_shape: input.shape().to_vec(),
                 argmax,
             });
+        } else {
+            for (plane, out) in planes.zip(outs) {
+                max_pool(plane, w, k, out, |_, _| {});
+            }
         }
         out
     }
@@ -114,10 +167,23 @@ impl Layer for MaxPool2d {
             .cache
             .take()
             .expect("MaxPool2d::backward called without a training forward pass");
+        let (h, w) = (cache.input_shape[2], cache.input_shape[3]);
+        let k = self.window;
+        let (oh, ow) = self.out_size(h, w);
+        // Plane index of each window offset, relative to the window's
+        // first element.
+        let deltas: Vec<usize> = (0..k * k).map(|at| at / k * w + at % k).collect();
         let mut grad_input = Tensor::zeros(cache.input_shape);
-        let gi = grad_input.data_mut();
-        for (&idx, &g) in cache.argmax.iter().zip(grad_output.data()) {
-            gi[idx] += g;
+        let grads = grad_input.data_mut().chunks_exact_mut(h * w);
+        let dys = grad_output.data().chunks_exact(oh * ow);
+        for ((gi, dy), at) in grads.zip(dys).zip(cache.argmax.chunks_exact(oh * ow)) {
+            let rows = dy.chunks_exact(ow).zip(at.chunks_exact(ow));
+            for (oy, (dy_row, at_row)) in rows.enumerate() {
+                let gi_row = &mut gi[oy * k * w..];
+                for (ox, (&g, &offset)) in dy_row.iter().zip(at_row).enumerate() {
+                    gi_row[ox * k + deltas[usize::from(offset)]] += g;
+                }
+            }
         }
         grad_input
     }
@@ -283,6 +349,12 @@ mod tests {
             let g = pool.backward(&Tensor::ones(vec![1, 2, 1, 1]));
             assert_eq!(g.data(), &[0., 0., 0., 1., 1., 0., 0., 0.], "fill {fill}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "largest supported, 16")]
+    fn maxpool_rejects_windows_whose_offsets_overflow_u8() {
+        MaxPool2d::new(17);
     }
 
     #[test]

@@ -52,6 +52,12 @@ impl PRelu {
 
 impl Layer for PRelu {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.forward_owned(input.clone(), mode)
+    }
+
+    /// Rewrites the input in place in eval; a training pass keeps the
+    /// input itself for backward and writes a new output.
+    fn forward_owned(&mut self, mut input: Tensor, mode: Mode) -> Tensor {
         if self.alpha.value.len() > 1 {
             assert!(
                 input.ndim() >= 2 && input.shape()[1] == self.alpha.value.len(),
@@ -60,21 +66,34 @@ impl Layer for PRelu {
                 input.shape()
             );
         }
-        let inner = self.plane_len(input);
-        let mut out = Tensor::zeros(input.shape().to_vec());
-        let planes = input.data().chunks_exact(inner);
-        let outs = out.data_mut().chunks_exact_mut(inner);
-        for ((plane, out_plane), &a) in planes.zip(outs).zip(self.alpha.value.data().iter().cycle())
-        {
-            for (y, &x) in out_plane.iter_mut().zip(plane) {
-                let ax = a * x;
-                *y = if x > 0.0 { x } else { ax };
+        let inner = self.plane_len(&input);
+        let alpha = self.alpha.value.data().iter().cycle();
+        let activate = |a: f32, x: f32| {
+            let ax = a * x;
+            if x > 0.0 {
+                x
+            } else {
+                ax
+            }
+        };
+        if mode == Mode::Train {
+            let mut out = Tensor::zeros(input.shape().to_vec());
+            let planes = input.data().chunks_exact(inner);
+            let outs = out.data_mut().chunks_exact_mut(inner);
+            for ((plane, out_plane), &a) in planes.zip(outs).zip(alpha) {
+                for (y, &x) in out_plane.iter_mut().zip(plane) {
+                    *y = activate(a, x);
+                }
+            }
+            self.cache_input = Some(input);
+            return out;
+        }
+        for (plane, &a) in input.data_mut().chunks_exact_mut(inner).zip(alpha) {
+            for y in plane {
+                *y = activate(a, *y);
             }
         }
-        if mode == Mode::Train {
-            self.cache_input = Some(input.clone());
-        }
-        out
+        input
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

@@ -51,7 +51,9 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// Runs the input through every layer in order.
+    /// Runs the input through every layer in order. Each layer after the
+    /// first owns its input (see [`Layer::forward_owned`]), so activations
+    /// and reshapes can rewrite the previous output in place.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let mut layers = self.layers.iter_mut();
         let Some(first) = layers.next() else {
@@ -59,7 +61,7 @@ impl Sequential {
         };
         let mut x = first.forward(input, mode);
         for layer in layers {
-            x = layer.forward(&x, mode);
+            x = layer.forward_owned(x, mode);
         }
         x
     }

@@ -249,6 +249,16 @@ impl Tensor {
     ///
     /// Panics if the element counts differ.
     pub fn reshape(&self, shape: Vec<usize>) -> Tensor {
+        self.clone().into_reshape(shape)
+    }
+
+    /// [`Tensor::reshape`] that keeps this tensor's buffer instead of
+    /// copying it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element counts differ.
+    pub fn into_reshape(self, shape: Vec<usize>) -> Tensor {
         let n: usize = shape.iter().product();
         assert_eq!(
             n,
@@ -260,7 +270,7 @@ impl Tensor {
         );
         Tensor {
             shape,
-            data: self.data.clone(),
+            data: self.data,
         }
     }
 

@@ -21,10 +21,10 @@ done
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-# The one call into the AVX2 build of the GEMM micro-kernel (a
-# `#[target_feature]` function, behind a runtime CPU check) is the only
-# code allowed the `unsafe` keyword; snia-nn denies it elsewhere and every
-# other crate forbids it.
+# The calls into the AVX2 and AVX-512F builds of the GEMM micro-kernel
+# (`#[target_feature]` wrappers in crates/nn/src/gemm/x86.rs, each behind
+# a runtime CPU check) are the only code allowed the `unsafe` keyword;
+# snia-nn denies it elsewhere and every other crate forbids it.
 echo "== unsafe confined to crates/nn/src/gemm/x86.rs =="
 hits=$(git ls-files --cached --others --exclude-standard -- '*.rs' |
     grep -v '^crates/nn/src/gemm/x86\.rs$' |

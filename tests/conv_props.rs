@@ -8,13 +8,15 @@
 //! equivalence budget. The bit-identity properties (lowering against its
 //! per-element oracles, GEMM against the naive loop, the whole layer
 //! against the lowered oracle) use non-integer data instead, so that any
-//! change to the order of a sum shows.
+//! change to the order of a sum shows. The same holds for the layers that
+//! may rewrite an owned input in place (`Layer::forward_owned`), and for
+//! `MaxPool2d`'s 2×2 loop against the generic window loop.
 
 use proptest::prelude::*;
 
 use snia_repro::core::parallel::shard_ranges;
 use snia_repro::nn::gemm::{gemm_nn, gemm_nt, gemm_tn, naive_matmul};
-use snia_repro::nn::layers::{Conv2d, Padding};
+use snia_repro::nn::layers::{BatchNorm, Conv2d, Flatten, MaxPool2d, PRelu, Padding};
 use snia_repro::nn::lowering::{col2im_add, im2col, ConvGeom};
 use snia_repro::nn::{Layer, Mode, Tensor};
 
@@ -286,6 +288,105 @@ fn lowered_conv_oracle(case: ConvCase, x: &[f32], w: &[f32], b: &[f32], dy: &[f3
     run
 }
 
+/// The generic `MaxPool2d` window loop: every window scanned rows then
+/// columns from −∞, keeping the first element greater than all before it
+/// (the window's own first element when none is). Returns the output and
+/// the flat input index each output's gradient goes to. Kept as the
+/// oracle for the layer's dedicated 2×2 loop.
+fn max_pool_oracle(x: &[f32], shape: [usize; 4], k: usize) -> (Vec<f32>, Vec<usize>) {
+    let [n, c, h, w] = shape;
+    let (oh, ow) = (h / k, w / k);
+    let mut out = vec![0.0f32; n * c * oh * ow];
+    let mut argmax = vec![0usize; out.len()];
+    for p in 0..n * c {
+        let (plane, out_off) = (p * h * w, p * oh * ow);
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = plane + oy * k * w + ox * k;
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let idx = plane + (oy * k + ky) * w + ox * k + kx;
+                        if x[idx] > best {
+                            best = x[idx];
+                            best_idx = idx;
+                        }
+                    }
+                }
+                out[out_off + oy * ow + ox] = best;
+                argmax[out_off + oy * ow + ox] = best_idx;
+            }
+        }
+    }
+    (out, argmax)
+}
+
+/// Pooling input drawn from a small set of values, so windows tie, with
+/// NaN and −∞ among them; a whole NaN plane and a whole −∞ plane follow
+/// the drawn ones when there are at least three planes.
+fn pool_data(shape: [usize; 4], seed: u64) -> Vec<f32> {
+    const VALUES: [f32; 8] = [
+        -1.5,
+        0.0,
+        -0.0,
+        0.75,
+        0.75,
+        2.25,
+        f32::NAN,
+        f32::NEG_INFINITY,
+    ];
+    let [n, c, h, w] = shape;
+    let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut x: Vec<f32> = (0..n * c * h * w)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            VALUES[(state >> 33) as usize % VALUES.len()]
+        })
+        .collect();
+    if n * c >= 3 {
+        let plane = h * w;
+        x[plane..2 * plane].fill(f32::NAN);
+        x[2 * plane..3 * plane].fill(f32::NEG_INFINITY);
+    }
+    x
+}
+
+/// A layer through `forward` and through `forward_owned`, each on its
+/// own copy made by `make`: the outputs, and after a training forward the
+/// input gradients and parameter gradients of a backward of `dy`, must
+/// be bit-identical, as must any state the forward updates.
+fn check_owned_forward(make: impl Fn() -> Box<dyn Layer>, x: &Tensor, dy_seed: u64) {
+    for mode in [Mode::Train, Mode::Eval] {
+        let (mut borrowed, mut owned) = (make(), make());
+        let y = borrowed.forward(x, mode);
+        let y_owned = owned.forward_owned(x.clone(), mode);
+        let what = format!("{} {mode:?} {:?}", borrowed.name(), x.shape());
+        assert_eq!(y.shape(), y_owned.shape(), "shape {what}");
+        assert_eq!(bits(y.data()), bits(y_owned.data()), "forward {what}");
+        assert_eq!(
+            bits(&borrowed.extra_state()),
+            bits(&owned.extra_state()),
+            "state {what}"
+        );
+        if mode == Mode::Train {
+            let dy = Tensor::from_vec(y.shape().to_vec(), frac_data(y.len(), dy_seed));
+            let dx = borrowed.backward(&dy);
+            let dx_owned = owned.backward(&dy);
+            assert_eq!(bits(dx.data()), bits(dx_owned.data()), "backward {what}");
+            for (p, q) in borrowed.params().iter().zip(owned.params()) {
+                assert_eq!(
+                    bits(p.grad.data()),
+                    bits(q.grad.data()),
+                    "{} {what}",
+                    p.name
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -524,6 +625,39 @@ proptest! {
         prop_assert_eq!(bits(&got.db), bits(&want.db), "db {:?}", case);
     }
 
+    // ---- MaxPool2d ----
+
+    /// `MaxPool2d` forward (both modes) and the gradient routing of its
+    /// backward match the generic window loop bit for bit: ties, NaN and
+    /// −∞ windows, odd planes whose trailing row and column are dropped.
+    /// Window 2 runs the layer's dedicated loop, window 3 its generic one.
+    #[test]
+    fn max_pool_matches_generic_window_oracle(
+        n in 1usize..3,
+        c in 1usize..4,
+        h in 3usize..10,
+        w in 3usize..10,
+        k in 2usize..4,
+        seed in 0u64..1000,
+    ) {
+        let shape = [n, c, h, w];
+        let x = Tensor::from_vec(shape.to_vec(), pool_data(shape, seed));
+        let (want, argmax) = max_pool_oracle(x.data(), shape, k);
+        let mut pool = MaxPool2d::new(k);
+        let eval = pool.forward(&x, Mode::Eval);
+        let y = pool.forward(&x, Mode::Train);
+        prop_assert_eq!(bits(eval.data()), bits(&want), "eval {:?} k={}", shape, k);
+        prop_assert_eq!(bits(y.data()), bits(&want), "train {:?} k={}", shape, k);
+
+        let dy = Tensor::from_vec(y.shape().to_vec(), frac_data(y.len(), seed ^ 0xD1));
+        let mut want_dx = vec![0.0f32; x.len()];
+        for (&idx, &g) in argmax.iter().zip(dy.data()) {
+            want_dx[idx] += g;
+        }
+        let dx = pool.backward(&dy);
+        prop_assert_eq!(bits(dx.data()), bits(&want_dx), "backward {:?} k={}", shape, k);
+    }
+
     // ---- executor sharding ----
 
     #[test]
@@ -540,5 +674,66 @@ proptest! {
             .iter()
             .fold((usize::MAX, 0), |(lo, hi), r| (lo.min(r.len()), hi.max(r.len())));
         prop_assert!(max - min <= 1, "unbalanced shards: {:?}", ranges);
+    }
+}
+
+#[test]
+fn owned_forward_is_bit_identical_to_borrowed() {
+    let seeded = |seed: u64| <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+    let shapes = [vec![4, 3, 5, 7], vec![2, 6, 1, 9], vec![6, 3]];
+    for (i, shape) in shapes.iter().enumerate() {
+        let seed = i as u64;
+        let channels = shape[1];
+        let mut data = frac_data(shape.iter().product(), seed);
+        // Signed zeros, which PReLU and BatchNorm must pass through alike.
+        for (j, v) in data.iter_mut().enumerate().step_by(5) {
+            *v = if j % 2 == 0 { 0.0 } else { -0.0 };
+        }
+        let x = Tensor::from_vec(shape.clone(), data);
+
+        let bn = || -> Box<dyn Layer> {
+            let mut bn = BatchNorm::new(channels);
+            for (k, p) in bn.params_mut().into_iter().enumerate() {
+                let len = p.value.len();
+                p.value
+                    .data_mut()
+                    .copy_from_slice(&frac_data(len, 40 + k as u64));
+            }
+            let stats: Vec<f32> = frac_data(2 * channels, 50)
+                .iter()
+                .map(|v| v.abs())
+                .collect();
+            bn.load_extra_state(&stats).expect("running stats fit");
+            Box::new(bn)
+        };
+        check_owned_forward(bn, &x, seed);
+        for slopes in [1, channels] {
+            let prelu = || -> Box<dyn Layer> {
+                let mut p = if slopes == 1 {
+                    PRelu::shared()
+                } else {
+                    PRelu::channelwise(channels)
+                };
+                p.params_mut()[0]
+                    .value
+                    .data_mut()
+                    .copy_from_slice(&frac_data(slopes, 60));
+                Box::new(p)
+            };
+            check_owned_forward(prelu, &x, seed);
+        }
+        check_owned_forward(|| Box::new(Flatten::new()), &x, seed);
+        if shape.len() == 4 {
+            for padding in [Padding::Same, Padding::Valid] {
+                let conv = || -> Box<dyn Layer> {
+                    Box::new(Conv2d::new(channels, 4, 1, padding, &mut seeded(70)))
+                };
+                check_owned_forward(conv, &x, seed);
+            }
+            let conv = || -> Box<dyn Layer> {
+                Box::new(Conv2d::new(channels, 2, 3, Padding::Same, &mut seeded(71)))
+            };
+            check_owned_forward(conv, &x, seed);
+        }
     }
 }

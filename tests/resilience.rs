@@ -14,7 +14,7 @@ use snia_repro::core::resilience::{
 use snia_repro::core::train::{
     classifier_scores, feature_matrix, flux_pair_refs, joint_examples, joint_scores,
     train_classifier_resilient, train_flux_cnn_resilient, train_joint_resilient,
-    ClassifierTrainConfig,
+    ClassifierTrainConfig, JointExample,
 };
 use snia_repro::core::Model;
 use snia_repro::dataset::framing::{decode_framed, encode_framed};
@@ -183,49 +183,95 @@ fn flux_cnn_resume_reproduces_uninterrupted_run_exactly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn joint_resume_reproduces_uninterrupted_run_exactly() {
-    // The joint checkpoint concatenates the CNN's state and the
-    // classifier's; resume must split it back exactly. Checkpointing turns
-    // the watchdog on, and here it rolls epoch 0 back (its running average
-    // starts from one tiny first loss), so the reference run checkpoints
-    // too, into its own directory, and only the kill/resume separates the
-    // two runs.
-    let ds = small_dataset(26);
+/// Joint from scratch at crop 16, seed 47: a first minibatch loss of
+/// about 0.013 and a second of about 15.5, so a watchdog that compared
+/// each loss with a running average would roll this healthy run back.
+fn joint_seed47_case(ds: &Dataset) -> (Vec<JointExample>, Vec<JointExample>, Vec<JointExample>) {
     let (tr, va, te) = split_indices(ds.len(), 4);
-    let crop = 16;
-    let train_ex = joint_examples(&tr[..4]);
-    let val_ex = joint_examples(&va[..2]);
-    let test_ex = joint_examples(&te[..2]);
-    let cfg = |epochs| ClassifierTrainConfig {
+    (
+        joint_examples(&tr[..4]),
+        joint_examples(&va[..2]),
+        joint_examples(&te[..2]),
+    )
+}
+
+fn joint_seed47_config(epochs: usize, threads: usize) -> ClassifierTrainConfig {
+    ClassifierTrainConfig {
         epochs,
         batch_size: 8,
         lr: 3e-3,
         seed: 47,
-        threads: 1,
-    };
-    let fresh = || JointModel::from_scratch(crop, 8, &mut StdRng::seed_from_u64(23));
-    let ref_dir = scratch_dir("joint-reference");
+        threads,
+    }
+}
+
+fn fresh_joint() -> JointModel {
+    JointModel::from_scratch(16, 8, &mut StdRng::seed_from_u64(23))
+}
+
+#[test]
+fn checkpointing_does_not_change_a_healthy_joint_run() {
+    // Checkpointing turns the watchdog on. A run that never diverges must
+    // train exactly as it does without it: the same records, weights and
+    // batch-norm buffers.
+    let ds = small_dataset(26);
+    let (train_ex, val_ex, _) = joint_seed47_case(&ds);
+    for threads in [1, 2] {
+        let mut plain = fresh_joint();
+        let hist_plain = train_joint_resilient(
+            &mut plain,
+            &ds,
+            &train_ex,
+            &val_ex,
+            &joint_seed47_config(2, threads),
+            &Resilience::disabled(),
+        )
+        .expect("plain run");
+        let dir = scratch_dir(&format!("joint-checkpointed-{threads}"));
+        let mut checkpointed = fresh_joint();
+        let hist_checkpointed = train_joint_resilient(
+            &mut checkpointed,
+            &ds,
+            &train_ex,
+            &val_ex,
+            &joint_seed47_config(2, threads),
+            &Resilience::with_dir(&dir),
+        )
+        .expect("checkpointed run");
+        assert_eq!(hist_plain, hist_checkpointed, "threads {threads}");
+        assert_eq!(plain.capture(), checkpointed.capture(), "threads {threads}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn joint_resume_reproduces_uninterrupted_run_exactly() {
+    // The joint checkpoint concatenates the CNN's state and the
+    // classifier's; resume must split it back exactly.
+    let ds = small_dataset(26);
+    let (train_ex, val_ex, test_ex) = joint_seed47_case(&ds);
+    let cfg = |epochs| joint_seed47_config(epochs, 1);
     let dir = scratch_dir("joint-resume");
     let checkpointing = || Resilience::with_dir(&dir);
 
-    let mut a = fresh();
+    // Uninterrupted reference run (no resilience machinery at all).
+    let mut a = fresh_joint();
     let hist_a = train_joint_resilient(
         &mut a,
         &ds,
         &train_ex,
         &val_ex,
         &cfg(2),
-        &Resilience::with_dir(&ref_dir),
+        &Resilience::disabled(),
     )
     .expect("reference run");
     assert_eq!(hist_a.len(), 2);
 
-    let mut b = fresh();
+    let mut b = fresh_joint();
     let partial = train_joint_resilient(&mut b, &ds, &train_ex, &val_ex, &cfg(1), &checkpointing())
         .expect("partial run");
     assert_eq!(partial.len(), 1);
-    let mut c = fresh();
+    let mut c = fresh_joint();
     let hist_c = train_joint_resilient(&mut c, &ds, &train_ex, &val_ex, &cfg(2), &checkpointing())
         .expect("resumed run");
 
@@ -237,7 +283,6 @@ fn joint_resume_reproduces_uninterrupted_run_exactly() {
         joint_scores(&mut c, &ds, &test_ex, 4)
     );
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&ref_dir).ok();
 }
 
 #[test]
