@@ -12,13 +12,13 @@
 //!   [`CheckpointDir`] persists it with a CRC-validated header, an atomic
 //!   temp-file + fsync + rename write, and a rolling `latest`/`prev` pair
 //!   so a crash mid-write never loses the run.
-//! * **Divergence watchdog.** [`Watchdog`] screens every mini-batch loss
+//! * **Divergence watchdog.** The [`Guardian`] screens every mini-batch loss
 //!   and gradient norm for NaN/Inf and for explosions past fixed absolute
 //!   thresholds. It keeps no history, so a run that never crosses them
-//!   trains exactly as it does without the watchdog. On divergence the
-//!   [`Guardian`] rolls the run back to the last good state, halves the
-//!   learning rate and retries up to three times, emitting
-//!   `resilience.*` telemetry instead of crashing. The watchdog runs
+//!   trains exactly as it does without the watchdog. On divergence it
+//!   rolls the run back to the last good state, halves the learning rate
+//!   and retries up to three times, emitting `resilience.*` telemetry
+//!   instead of crashing. The watchdog runs
 //!   whenever a run checkpoints or injects faults.
 //! * **Fault injection.** [`FaultPlan`] parses specs such as
 //!   `SNIA_FAULT=nan_loss@step=40,panic_worker@epoch=2,kill@epoch=3` so
@@ -432,51 +432,32 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// Screens per-step losses and gradient norms for divergence. Each check
-/// depends on its own step alone: no history, so nothing to checkpoint
-/// and nothing that can differ between a resumed run and an
-/// uninterrupted one.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Watchdog;
-
-impl Watchdog {
-    /// Creates a watchdog.
-    pub fn new() -> Self {
-        Watchdog
+/// Screens one mini-batch loss for divergence. Like
+/// [`check_grad_norm`], it depends on its own step alone: the watchdog
+/// keeps no history, so there is nothing to checkpoint and nothing that
+/// can differ between a resumed run and an uninterrupted one.
+fn check_loss(step: u64, loss: f64) -> Result<(), Divergence> {
+    if !loss.is_finite() {
+        Err(Divergence::NonFiniteLoss { step })
+    } else if loss.abs() > MAX_LOSS {
+        Err(Divergence::LossExploded {
+            step,
+            loss,
+            baseline: MAX_LOSS,
+        })
+    } else {
+        Ok(())
     }
+}
 
-    /// Checks one mini-batch loss.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Divergence`] when the loss is non-finite or exploded.
-    pub fn check_loss(&self, step: u64, loss: f64) -> Result<(), Divergence> {
-        if !loss.is_finite() {
-            Err(Divergence::NonFiniteLoss { step })
-        } else if loss.abs() > MAX_LOSS {
-            Err(Divergence::LossExploded {
-                step,
-                loss,
-                baseline: MAX_LOSS,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Checks one accumulated gradient norm.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Divergence`] when the norm is non-finite or exploded.
-    pub fn check_grad_norm(&self, step: u64, norm: f64) -> Result<(), Divergence> {
-        if !norm.is_finite() {
-            Err(Divergence::NonFiniteGradient { step })
-        } else if norm > MAX_GRAD_NORM {
-            Err(Divergence::GradientExploded { step, norm })
-        } else {
-            Ok(())
-        }
+/// Screens one accumulated gradient norm for divergence.
+fn check_grad_norm(step: u64, norm: f64) -> Result<(), Divergence> {
+    if !norm.is_finite() {
+        Err(Divergence::NonFiniteGradient { step })
+    } else if norm > MAX_GRAD_NORM {
+        Err(Divergence::GradientExploded { step, norm })
+    } else {
+        Ok(())
     }
 }
 
@@ -734,7 +715,7 @@ pub struct ResumePoint {
 pub struct Guardian<'a> {
     res: &'a Resilience,
     dir: Option<CheckpointDir>,
-    watchdog: Option<Watchdog>,
+    watchdog: bool,
     last_good: Option<TrainState>,
     retries: u32,
 }
@@ -745,7 +726,7 @@ impl<'a> Guardian<'a> {
         Guardian {
             res,
             dir: res.checkpoint_dir.as_ref().map(CheckpointDir::new),
-            watchdog: (res.checkpoint_dir.is_some() || !res.faults.is_empty()).then(Watchdog::new),
+            watchdog: res.checkpoint_dir.is_some() || !res.faults.is_empty(),
             last_good: None,
             retries: 0,
         }
@@ -754,7 +735,7 @@ impl<'a> Guardian<'a> {
     /// Whether per-step watchdog checks are active (lets loops skip
     /// gradient-norm computation otherwise).
     pub fn watchdog_active(&self) -> bool {
-        self.watchdog.is_some()
+        self.watchdog
     }
 
     /// Resumes from the checkpoint directory when one exists, and seeds
@@ -784,7 +765,7 @@ impl<'a> Guardian<'a> {
                 self.last_good = Some(state);
             }
         }
-        if self.watchdog.is_some() && self.last_good.is_none() {
+        if self.watchdog && self.last_good.is_none() {
             // Rollback target before the first epoch completes.
             self.last_good = Some(capture_state(model, opt, rng, 0, 0, history));
         }
@@ -803,9 +784,10 @@ impl<'a> Guardian<'a> {
         } else {
             loss
         };
-        match &self.watchdog {
-            Some(wd) => wd.check_loss(step, loss),
-            None => Ok(()),
+        if self.watchdog {
+            check_loss(step, loss)
+        } else {
+            Ok(())
         }
     }
 
@@ -815,9 +797,10 @@ impl<'a> Guardian<'a> {
     ///
     /// Returns the [`Divergence`] the watchdog detected.
     pub fn check_grad_norm(&self, step: u64, norm: f64) -> Result<(), Divergence> {
-        match &self.watchdog {
-            Some(wd) => wd.check_grad_norm(step, norm),
-            None => Ok(()),
+        if self.watchdog {
+            check_grad_norm(step, norm)
+        } else {
+            Ok(())
         }
     }
 
@@ -876,7 +859,7 @@ impl<'a> Guardian<'a> {
         step: u64,
         history: &[TrainRecord],
     ) -> Result<(), CheckpointError> {
-        if self.dir.is_none() && self.watchdog.is_none() {
+        if self.dir.is_none() && !self.watchdog {
             return Ok(());
         }
         let state = capture_state(model, opt, rng, epoch + 1, step, history);
@@ -1026,37 +1009,35 @@ mod tests {
 
     #[test]
     fn watchdog_detects_divergence() {
-        let wd = Watchdog::new();
         for step in 0..10 {
-            wd.check_loss(step, 1.0).unwrap();
+            check_loss(step, 1.0).unwrap();
         }
         assert!(matches!(
-            wd.check_loss(10, f64::NAN),
+            check_loss(10, f64::NAN),
             Err(Divergence::NonFiniteLoss { step: 10 })
         ));
         assert!(matches!(
-            wd.check_loss(11, 2e6),
+            check_loss(11, 2e6),
             Err(Divergence::LossExploded { .. })
         ));
         // A jump of four orders of magnitude is not a divergence: only
         // the absolute bound counts, not the losses before it.
-        wd.check_loss(12, 2e4).unwrap();
+        check_loss(12, 2e4).unwrap();
         assert!(matches!(
-            wd.check_grad_norm(13, f64::INFINITY),
+            check_grad_norm(13, f64::INFINITY),
             Err(Divergence::NonFiniteGradient { .. })
         ));
         assert!(matches!(
-            wd.check_grad_norm(13, 1e9),
+            check_grad_norm(13, 1e9),
             Err(Divergence::GradientExploded { .. })
         ));
-        wd.check_grad_norm(13, 10.0).unwrap();
+        check_grad_norm(13, 10.0).unwrap();
     }
 
     #[test]
     fn watchdog_absolute_threshold_applies_from_the_first_step() {
-        let wd = Watchdog::new();
         assert!(matches!(
-            wd.check_loss(0, 1e7),
+            check_loss(0, 1e7),
             Err(Divergence::LossExploded { .. })
         ));
     }

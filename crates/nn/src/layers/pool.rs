@@ -15,9 +15,7 @@ use crate::tensor::Tensor;
 /// and columns that do not fill a window are dropped (floor semantics), as
 /// in most frameworks. Each window keeps its first element greater than
 /// every earlier one, scanning rows then columns from −∞, so a window of
-/// only NaN or −∞ routes its gradient to its own first element. The
-/// paper's 2×2 window runs a dedicated loop over row pairs that makes the
-/// same four compares in the same order.
+/// only NaN or −∞ routes its gradient to its own first element.
 #[derive(Debug)]
 pub struct MaxPool2d {
     window: usize,
@@ -60,32 +58,9 @@ impl MaxPool2d {
     }
 }
 
-/// Max-pools one `h×w` plane into `out` (`oh×ow`) with 2×2 windows,
+/// Max-pools one `h×w` plane into `out` (`oh×ow`) with `k×k` windows,
 /// calling `record(output index, argmax offset)` for each window.
-fn max_pool_2x2(plane: &[f32], w: usize, out: &mut [f32], mut record: impl FnMut(usize, u8)) {
-    let ow = w / 2;
-    if ow == 0 {
-        return;
-    }
-    for (oy, out_row) in out.chunks_exact_mut(ow).enumerate() {
-        let top = &plane[2 * oy * w..][..2 * ow];
-        let bottom = &plane[(2 * oy + 1) * w..][..2 * ow];
-        let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
-        for (ox, (o, (t, b))) in out_row.iter_mut().zip(windows).enumerate() {
-            let (mut best, mut at) = (f32::NEG_INFINITY, 0u8);
-            for (offset, v) in [t[0], t[1], b[0], b[1]].into_iter().enumerate() {
-                if v > best {
-                    best = v;
-                    at = offset as u8;
-                }
-            }
-            *o = best;
-            record(oy * ow + ox, at);
-        }
-    }
-}
-
-/// [`max_pool_2x2`] for any window `k`.
+#[inline(always)]
 fn max_pool_kxk(
     plane: &[f32],
     w: usize,
@@ -115,11 +90,11 @@ fn max_pool_kxk(
     }
 }
 
-/// Max-pools one plane with `k×k` windows, the paper's 2×2 through its
-/// own loop.
+/// [`max_pool_kxk`], with the paper's window 2 as a constant so the
+/// compiler specialises the loop for it.
 fn max_pool(plane: &[f32], w: usize, k: usize, out: &mut [f32], record: impl FnMut(usize, u8)) {
     if k == 2 {
-        max_pool_2x2(plane, w, out, record)
+        max_pool_kxk(plane, w, 2, out, record)
     } else {
         max_pool_kxk(plane, w, k, out, record)
     }

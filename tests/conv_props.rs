@@ -10,7 +10,7 @@
 //! against the lowered oracle) use non-integer data instead, so that any
 //! change to the order of a sum shows. The same holds for the layers that
 //! may rewrite an owned input in place (`Layer::forward_owned`), and for
-//! `MaxPool2d`'s 2×2 loop against the generic window loop.
+//! `MaxPool2d` against the generic window loop.
 
 use proptest::prelude::*;
 
@@ -292,7 +292,7 @@ fn lowered_conv_oracle(case: ConvCase, x: &[f32], w: &[f32], b: &[f32], dy: &[f3
 /// columns from −∞, keeping the first element greater than all before it
 /// (the window's own first element when none is). Returns the output and
 /// the flat input index each output's gradient goes to. Kept as the
-/// oracle for the layer's dedicated 2×2 loop.
+/// oracle for the layer's loop, which stores window offsets instead.
 fn max_pool_oracle(x: &[f32], shape: [usize; 4], k: usize) -> (Vec<f32>, Vec<usize>) {
     let [n, c, h, w] = shape;
     let (oh, ow) = (h / k, w / k);
@@ -629,8 +629,8 @@ proptest! {
 
     /// `MaxPool2d` forward (both modes) and the gradient routing of its
     /// backward match the generic window loop bit for bit: ties, NaN and
-    /// −∞ windows, odd planes whose trailing row and column are dropped.
-    /// Window 2 runs the layer's dedicated loop, window 3 its generic one.
+    /// −∞ windows, odd planes whose trailing row and column are dropped,
+    /// windows 2 and 3.
     #[test]
     fn max_pool_matches_generic_window_oracle(
         n in 1usize..3,
@@ -677,13 +677,21 @@ proptest! {
     }
 }
 
+/// The layers that rewrite an owned input in place match the
+/// per-element expressions they replaced, each written into a fresh
+/// output: BatchNorm's eval normalisation, PReLU's activation in both
+/// modes and its input gradient, Flatten's row-major reshape. `Conv2d`,
+/// the one layer with separate borrowed and owned bodies, is checked
+/// owned against borrowed.
 #[test]
-fn owned_forward_is_bit_identical_to_borrowed() {
+fn owned_forward_matches_the_per_element_expressions() {
     let seeded = |seed: u64| <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
     let shapes = [vec![4, 3, 5, 7], vec![2, 6, 1, 9], vec![6, 3]];
     for (i, shape) in shapes.iter().enumerate() {
         let seed = i as u64;
         let channels = shape[1];
+        let plane: usize = shape[2..].iter().product();
+        let channel = |j: usize| j / plane % channels;
         let mut data = frac_data(shape.iter().product(), seed);
         // Signed zeros, which PReLU and BatchNorm must pass through alike.
         for (j, v) in data.iter_mut().enumerate().step_by(5) {
@@ -691,38 +699,70 @@ fn owned_forward_is_bit_identical_to_borrowed() {
         }
         let x = Tensor::from_vec(shape.clone(), data);
 
-        let bn = || -> Box<dyn Layer> {
-            let mut bn = BatchNorm::new(channels);
-            for (k, p) in bn.params_mut().into_iter().enumerate() {
-                let len = p.value.len();
-                p.value
-                    .data_mut()
-                    .copy_from_slice(&frac_data(len, 40 + k as u64));
-            }
-            let stats: Vec<f32> = frac_data(2 * channels, 50)
-                .iter()
-                .map(|v| v.abs())
-                .collect();
-            bn.load_extra_state(&stats).expect("running stats fit");
-            Box::new(bn)
-        };
-        check_owned_forward(bn, &x, seed);
+        let (gamma, beta) = (frac_data(channels, 40), frac_data(channels, 41));
+        let stats: Vec<f32> = frac_data(2 * channels, 50)
+            .iter()
+            .map(|v| v.abs())
+            .collect();
+        let (mean, var) = stats.split_at(channels);
+        let mut bn = BatchNorm::new(channels);
+        bn.params_mut()[0].value.data_mut().copy_from_slice(&gamma);
+        bn.params_mut()[1].value.data_mut().copy_from_slice(&beta);
+        bn.load_extra_state(&stats).expect("running stats fit");
+        let want: Vec<f32> = x
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(j, &v)| {
+                let c = channel(j);
+                let inv_std = 1.0 / (var[c] + 1e-5).sqrt();
+                gamma[c] * ((v - mean[c]) * inv_std) + beta[c]
+            })
+            .collect();
+        let y = bn.forward_owned(x.clone(), Mode::Eval);
+        assert_eq!(bits(y.data()), bits(&want), "BatchNorm eval {shape:?}");
+
         for slopes in [1, channels] {
-            let prelu = || -> Box<dyn Layer> {
-                let mut p = if slopes == 1 {
+            let alpha = frac_data(slopes, 60);
+            let slope = |j: usize| alpha[channel(j) % slopes];
+            let want: Vec<f32> = x
+                .data()
+                .iter()
+                .enumerate()
+                .map(|(j, &v)| if v > 0.0 { v } else { slope(j) * v })
+                .collect();
+            for mode in [Mode::Eval, Mode::Train] {
+                let mut prelu = if slopes == 1 {
                     PRelu::shared()
                 } else {
                     PRelu::channelwise(channels)
                 };
-                p.params_mut()[0]
+                prelu.params_mut()[0]
                     .value
                     .data_mut()
-                    .copy_from_slice(&frac_data(slopes, 60));
-                Box::new(p)
-            };
-            check_owned_forward(prelu, &x, seed);
+                    .copy_from_slice(&alpha);
+                let y = prelu.forward_owned(x.clone(), mode);
+                let what = format!("PRelu {slopes} slopes {mode:?} {shape:?}");
+                assert_eq!(bits(y.data()), bits(&want), "forward {what}");
+                if mode == Mode::Train {
+                    let dy = frac_data(x.len(), seed ^ 0xD1);
+                    let want_dx: Vec<f32> = x
+                        .data()
+                        .iter()
+                        .zip(&dy)
+                        .enumerate()
+                        .map(|(j, (&v, &g))| if v > 0.0 { g } else { g * slope(j) })
+                        .collect();
+                    let dx = prelu.backward(&Tensor::from_vec(shape.clone(), dy));
+                    assert_eq!(bits(dx.data()), bits(&want_dx), "backward {what}");
+                }
+            }
         }
-        check_owned_forward(|| Box::new(Flatten::new()), &x, seed);
+
+        let y = Flatten::new().forward_owned(x.clone(), Mode::Eval);
+        assert_eq!(y.shape(), &[shape[0], x.len() / shape[0]]);
+        assert_eq!(bits(y.data()), bits(x.data()), "Flatten {shape:?}");
+
         if shape.len() == 4 {
             for padding in [Padding::Same, Padding::Valid] {
                 let conv = || -> Box<dyn Layer> {
